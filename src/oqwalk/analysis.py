@@ -54,16 +54,7 @@ def transition_matrix(p: ChainParams) -> np.ndarray:
     (right jump), lambda up one row (left jump), with lazy self-loops at
     both boundaries. Every column sums to exactly 1.
     """
-    n, w, lam = p.n_nodes, p.omega, p.lam
-    t = np.zeros((n, n))
-    t[0, 0] = lam
-    t[0, 1] = lam
-    for i in range(n - 1):
-        t[i + 1, i] = w
-    for i in range(2, n):
-        t[i - 1, i] = lam
-    t[n - 1, n - 1] = w
-    return t
+    return master_step(np.eye(p.n_nodes), p)
 
 
 def steady_state(p: ChainParams) -> np.ndarray:
@@ -109,27 +100,30 @@ def omega_for_success(eta: float) -> float:
 
 
 def master_step(dist, p: ChainParams) -> np.ndarray:
-    """One step of the occupation recursion, written out by node.
+    """One step of the birth-death recursion, the one place it is written.
 
     Interior: P(m) <- omega P(m-1) + lambda P(m+1); the boundaries are lazy:
     node 0 keeps lambda of itself plus lambda of node 1, node N-1 keeps
-    omega of itself plus omega of node N-2. Identical to applying the
-    transition matrix.
+    omega of itself plus omega of node N-2. Runs along axis 0, so ``dist``
+    is a length-N vector or an N x k matrix of columns; ``p`` is anything
+    with ``n_nodes``, ``omega`` and ``lam`` (a ``LinearChainSpec`` too).
     """
     dist = np.asarray(dist, dtype=float)
     n, w, lam = p.n_nodes, p.omega, p.lam
-    if dist.shape != (n,):
+    if dist.ndim not in (1, 2) or dist.shape[0] != n:
         raise ValueError(f"distribution length {dist.shape} does not match N={n}")
-    out = np.empty(n)
+    out = np.empty_like(dist)
     out[0] = lam * dist[0] + lam * dist[1]
-    for m in range(1, n - 1):
-        out[m] = w * dist[m - 1] + lam * dist[m + 1]
-    out[n - 1] = w * dist[n - 2] + w * dist[n - 1]
+    np.multiply(w, dist[:-2], out=out[1:-1])
+    out[1:-1] += lam * dist[2:]
+    out[-1] = w * dist[-2] + w * dist[-1]
     return out
 
 
 def iterate_master(dist, p: ChainParams, n_steps: int) -> np.ndarray:
     """Apply ``master_step`` n_steps times."""
+    if n_steps < 0:
+        raise ValueError("step count must be non-negative")
     dist = np.asarray(dist, dtype=float)
     for _ in range(n_steps):
         dist = master_step(dist, p)
@@ -137,7 +131,10 @@ def iterate_master(dist, p: ChainParams, n_steps: int) -> np.ndarray:
 
 
 def power_iterate(t: np.ndarray, dist, n_steps: int) -> np.ndarray:
-    """Repeated application of a transition matrix to a distribution."""
+    """Repeated application of a transition matrix to a distribution. BLAS
+    rounds differently from ``iterate_master``; ``oqw steady`` prints this."""
+    if n_steps < 0:
+        raise ValueError("step count must be non-negative")
     dist = np.asarray(dist, dtype=float)
     for _ in range(n_steps):
         dist = t @ dist

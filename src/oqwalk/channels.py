@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
+from .analysis import iterate_master
 from .matrixkit import X, Y, Z, asmatrix, is_unitary, trace_distance
 
 
@@ -43,10 +44,10 @@ def coefficient_evolution(chain: core.LinearChainSpec, initial_masses, n: int) -
     """Contribution coefficients a_j^(i,n) after n steps.
 
     Entry [i][j] weighs, at node i, the evolved image of the block that
-    started at node j. Starts from the identity (a_j^(i,0) = delta_ij) and
-    applies the three-case recursion (interior / left boundary / right
-    boundary); each column evolves exactly like the classical transition
-    matrix acting on the node index.
+    started at node j. Starts from the identity (a_j^(i,0) = delta_ij); each
+    column then follows the classical birth-death recursion on the node
+    index, ``analysis.iterate_master``, so the result is the n-th power of
+    the transition matrix.
     """
     masses = np.asarray(initial_masses, dtype=float)
     nn = chain.n_nodes
@@ -54,16 +55,7 @@ def coefficient_evolution(chain: core.LinearChainSpec, initial_masses, n: int) -
         raise ValueError(f"need {nn} masses, got {masses.shape}")
     if abs(masses.sum() - 1.0) > 1e-10:
         raise ValueError(f"masses must sum to 1, got {masses.sum()}")
-    w, lam = chain.omega, chain.lam
-    a = np.eye(nn)
-    for _ in range(n):
-        nxt = np.empty_like(a)
-        nxt[0, :] = lam * a[0, :] + lam * a[1, :]
-        for i in range(1, nn - 1):
-            nxt[i, :] = w * a[i - 1, :] + lam * a[i + 1, :]
-        nxt[nn - 1, :] = w * a[nn - 2, :] + w * a[nn - 1, :]
-        a = nxt
-    return a
+    return iterate_master(np.eye(nn), chain, n)
 
 
 def postselect(state: core.DiagonalState, node: int) -> np.ndarray:
@@ -199,11 +191,12 @@ def iterate_limit(real: ChannelRealization, max_steps: int = 500,
         state = core.step(real.spec, state)
         first += 1
     prev = postselect(state, real.target_node)
-    quiet, n = 0, first
+    quiet, n, delta = 0, first, float("nan")
     for k in range(first + 1, max_steps + 1):
         state = core.step(real.spec, state)
         cur = postselect(state, real.target_node)
-        if trace_distance(cur, prev) < tol:
+        delta = trace_distance(cur, prev)
+        if delta < tol:
             if quiet == 0:
                 n = k - 1
             quiet += 1
@@ -213,4 +206,4 @@ def iterate_limit(real: ChannelRealization, max_steps: int = 500,
             quiet = 0
         prev = cur
     raise RuntimeError(f"no convergence within {max_steps} steps "
-                       f"(last delta vs tol {tol})")
+                       f"(last delta {delta:.3e} vs tol {tol})")

@@ -113,12 +113,7 @@ def _inc_gates(qg, extra=()) -> list:
 def _dec_gates(qg, extra=()) -> list:
     """Cyclic -1 ladder: the +1 gates in reverse order (each is self-inverse,
     so reversing the sequence inverts the product)."""
-    g = len(qg)
-    out = []
-    for t in range(g - 1, -1, -1):
-        ctrls = tuple((qg[b], 1) for b in range(t + 1, g)) + tuple(extra)
-        out.append(Gate("x", (qg[t],), ctrls))
-    return out
+    return _inc_gates(qg, extra)[::-1]
 
 
 def build_increment(g: int) -> Circuit:
@@ -131,10 +126,8 @@ def build_increment(g: int) -> Circuit:
 
 def build_decrement(g: int) -> Circuit:
     """|i> -> |(i-1) mod 2^g> on a g-qubit register."""
-    if g < 1:
-        raise ValueError("need at least one qubit")
-    qg = tuple(range(g))
-    return Circuit({"qG": qg}, _dec_gates(qg))
+    inc = build_increment(g)
+    return Circuit(inc.registers, inc.gates[::-1])
 
 
 def _padded_unitary(u: np.ndarray, h_dim: int) -> np.ndarray:
@@ -415,8 +408,8 @@ def simulate_density(circuit: Circuit, initial: core.DiagonalState,
     Non-selective measurements zero the measured qubit's coherences; reset
     traces and reinitializes. When ``omega`` is given, the RY preparation
     angles found in the circuit are checked against it. The node register
-    must come back diagonal (residue above 1e-10 raises), and the result is
-    returned in diagonal form.
+    must come back diagonal, with no mass left in padded levels; both are
+    checked by ``DiagonalState.from_dense``.
     """
     circuit.validate()
     qh, qg = circuit.registers["qH"], circuit.registers["qG"]
@@ -429,16 +422,8 @@ def simulate_density(circuit: Circuit, initial: core.DiagonalState,
         for gate in circuit.gates:
             if gate.kind == "ry" and abs(gate.angle - want) > 1e-12:
                 raise ValueError(f"RY angle {gate.angle} does not prepare omega={omega}")
-    n_nodes, d = initial.n_nodes, initial.walker_dim
-    g_dim, h_dim = 2 ** g, 2 ** h
-    if n_nodes > g_dim or d > h_dim:
-        raise ValueError("initial state does not fit the circuit registers")
-
-    rho = np.zeros((h_dim * g_dim,) * 2, dtype=complex)
-    for i, block in initial.blocks.items():
-        idx = np.arange(d) * g_dim + i
-        rho[np.ix_(idx, idx)] += block
-    sim = _DensitySim(rho, main)
+    dims = (2 ** h, 2 ** g)
+    sim = _DensitySim(initial.to_dense(dims), main)
 
     last_use = {}
     for pos, gate in enumerate(circuit.gates):
@@ -451,20 +436,8 @@ def simulate_density(circuit: Circuit, initial: core.DiagonalState,
     for q in [q for q in sim.live if q not in main]:
         sim.trace_out(q)
 
-    tensor = sim.rho.reshape(h_dim, g_dim, h_dim, g_dim)
-    off = tensor.copy()
-    for i in range(g_dim):
-        off[:, i, :, i] = 0.0
-    residue = np.abs(off).max()
-    if residue > 1e-10:
-        raise RuntimeError(f"node register left the diagonal form "
-                           f"(off-diagonal residue {residue:.3e})")
-    blocks = {i: np.ascontiguousarray(tensor[:d, i, :d, i]) for i in range(n_nodes)}
-    out = core.DiagonalState(n_nodes, blocks)
-    leaked = abs(out.total_trace() - initial.total_trace())
-    if leaked > 1e-9:
-        raise RuntimeError(f"probability leaked into padded sectors ({leaked:.3e})")
-    return out
+    return core.DiagonalState.from_dense(sim.rho, initial.n_nodes, initial.walker_dim,
+                                         dims, trace=initial.total_trace())
 
 
 # --- cost model --------------------------------------------------------------

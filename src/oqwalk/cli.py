@@ -135,29 +135,38 @@ def cmd_channel(args) -> str:
     return json.dumps(report, indent=1) + "\n"
 
 
+def _read_chain_spec(path: str) -> tuple:
+    """(N, omega, matrices) from a chain spec file; every fault is a usage error."""
+    try:
+        with open(path) as handle:
+            obj = json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read spec file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"spec file is not valid JSON: {exc}") from exc
+    missing = [k for k in ("N", "omega", "unitaries") if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise UsageError(f"spec file is missing the keys {missing}")
+    n, omega = obj["N"], obj["omega"]
+    if not isinstance(omega, (int, float)) or not 0 <= omega <= 1:
+        raise UsageError(f"spec omega must be a number in [0, 1], got {omega!r}")
+    try:
+        mats = [core.matrix_from_json(u) for u in obj["unitaries"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"spec unitaries must be a list of re/im matrices ({exc!r})") from exc
+    if not isinstance(n, int) or n < 2 or len(mats) != n - 1:
+        raise UsageError(f"spec needs an integer N >= 2 and N - 1 unitaries, "
+                         f"got N={n!r} and {len(mats)} unitaries")
+    return n, omega, mats
+
+
 def _chain_from_args(args) -> core.LinearChainSpec:
     if args.spec is not None:
-        try:
-            with open(args.spec) as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read spec file: {exc}") from exc
-        obj = json.loads(text)
-        # build the jump operators without enforcing unitarity first, so a
-        # tampered file produces a completeness report rather than a parse
-        # failure
-        mats = [np.array(u["re"], dtype=float) + 1j * np.array(u["im"], dtype=float)
-                for u in obj["unitaries"]]
-        n, omega = obj["N"], obj["omega"]
-        d = mats[0].shape[0]
-        jumps = {}
-        for i in range(n - 1):
-            jumps[(i, i + 1)] = math.sqrt(omega) * mats[i]
-        for i in range(1, n):
-            jumps[(i, i - 1)] = math.sqrt(1 - omega) * mats[i - 1].conj().T
-        jumps[(0, 0)] = math.sqrt(1 - omega) * np.eye(d, dtype=complex)
-        jumps[(n - 1, n - 1)] = math.sqrt(omega) * np.eye(d, dtype=complex)
-        violations = core.validate(core.OqwSpec(n, d, jumps))
+        n, omega, mats = _read_chain_spec(args.spec)
+        # validate the jump operators before unitarity, so a tampered file
+        # produces a completeness report rather than a parse failure
+        violations = core.validate(core.OqwSpec(n, mats[0].shape[0],
+                                                core.chain_jumps(omega, mats)))
         if violations:
             report = {"pass": False,
                       "violations": [{"node": node, "deviation": dev}
@@ -230,8 +239,7 @@ def cmd_resources(args) -> str:
     chain = core.LinearChainSpec(args.N, omega, [np.eye(dh)] * (args.N - 1))
     walk = circuit.build_walk(chain, steps)
     cnot, depth = circuit.cost_estimate(walk, model[args.cost_model])
-    h = max(1, (dh - 1).bit_length())
-    g = max(1, (args.N - 1).bit_length())
+    h, g = len(walk.registers["qH"]), len(walk.registers["qG"])
     lines.append(f"circuit-{model[args.cost_model]},{dh},{args.N},{steps},"
                  f"{steps * 2 ** (h + g + 2)},{cnot},{depth}")
     sizes = [4, 8, 16, 32]
@@ -285,7 +293,12 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    least_steps = 1 if args.command == "verify" else 0
     try:
+        if args.dH < 1:
+            raise UsageError(f"--dH must be at least 1, got {args.dH}")
+        if args.steps is not None and args.steps < least_steps:
+            raise UsageError(f"--steps must be at least {least_steps}, got {args.steps}")
         text = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,11 +65,12 @@ class DiagonalState:
     def block(self, i: int) -> np.ndarray:
         if i in self.blocks:
             return self.blocks[i]
-        dims = next(iter(self.blocks.values())).shape
-        return np.zeros(dims, dtype=complex)
+        return np.zeros((self.walker_dim,) * 2, dtype=complex)
 
     @property
     def walker_dim(self) -> int:
+        if not self.blocks:
+            raise ValueError("state has no blocks, so its walker dimension is unknown")
         return next(iter(self.blocks.values())).shape[0]
 
     def total_trace(self) -> float:
@@ -87,6 +88,43 @@ class DiagonalState:
     def pure(psi, node: int, n_nodes: int) -> "DiagonalState":
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         return DiagonalState(n_nodes, {node: np.outer(psi, psi.conj())})
+
+    def to_dense(self, dims: tuple | None = None) -> np.ndarray:
+        """Dense walker ⊗ node matrix, walker index most significant; ``dims``
+        pads the (walker, node) registers, whose extra levels stay empty."""
+        d, n = self.walker_dim, self.n_nodes
+        dw, dn = dims or (d, n)
+        if dw < d or dn < n:
+            raise ValueError(f"state dims {(d, n)} do not fit register dims {(dw, dn)}")
+        tensor = np.zeros((dw, dn, dw, dn), dtype=complex)
+        for i, b in self.blocks.items():
+            tensor[:d, i, :d, i] = b
+        return tensor.reshape(dw * dn, dw * dn)
+
+    @staticmethod
+    def from_dense(rho, n_nodes: int, walker_dim: int, dims: tuple | None = None,
+                   trace: float | None = None) -> "DiagonalState":
+        """Blocks of a dense walker ⊗ node matrix laid out as by ``to_dense``.
+
+        The check that a state is still in diagonal form: raises if a
+        cross-node entry exceeds 1e-10 or, given the input state's
+        ``trace``, if more than 1e-9 of it is missing (left in padded levels).
+        """
+        dw, dn = dims or (walker_dim, n_nodes)
+        tensor = np.asarray(rho).reshape(dw, dn, dw, dn)
+        off = tensor.copy()
+        off[:, np.arange(dn), :, np.arange(dn)] = 0.0
+        residue = np.abs(off).max()
+        if residue > 1e-10:
+            raise RuntimeError(f"node register left the diagonal form "
+                               f"(off-diagonal residue {residue:.3e})")
+        d = walker_dim
+        out = DiagonalState(n_nodes, {i: np.ascontiguousarray(tensor[:d, i, :d, i])
+                                      for i in range(n_nodes)})
+        leaked = 0.0 if trace is None else abs(out.total_trace() - trace)
+        if leaked > 1e-9:
+            raise RuntimeError(f"probability leaked into padded sectors ({leaked:.3e})")
+        return out
 
 
 @dataclass(frozen=True)
@@ -135,17 +173,12 @@ def validate(spec: OqwSpec, tol: float = CONSTRUCTION_TOL) -> list:
     Returns a list of (node, deviation) pairs, empty iff
     max |sum_j B_i^j† B_i^j - I| <= tol at every node i.
     """
-    violations = []
-    eye = np.eye(spec.walker_dim)
-    for i in range(spec.n_nodes):
-        acc = np.zeros((spec.walker_dim,) * 2, dtype=complex)
-        for (src, _), b in spec.jumps.items():
-            if src == i:
-                acc += dagger(b) @ asmatrix(b)
-        dev = float(np.abs(acc - eye).max())
-        if dev > tol:
-            violations.append((i, dev))
-    return violations
+    d = spec.walker_dim
+    acc = np.zeros((spec.n_nodes, d, d), dtype=complex)
+    for (src, _), b in spec.jumps.items():
+        acc[src] += dagger(b) @ asmatrix(b)
+    devs = np.abs(acc - np.eye(d)).max(axis=(1, 2))
+    return [(i, float(dev)) for i, dev in enumerate(devs) if dev > tol]
 
 
 def step(spec: OqwSpec, state: DiagonalState) -> DiagonalState:
@@ -186,25 +219,28 @@ def node_distribution(state: DiagonalState) -> list:
     return [float(np.trace(state.block(i)).real) for i in range(state.n_nodes)]
 
 
-def chain_to_spec(chain: LinearChainSpec) -> OqwSpec:
-    """Jump operators of the linear-chain model.
+def chain_jumps(omega: float, unitaries) -> dict:
+    """Edge map of the linear chain on len(unitaries) + 1 nodes.
 
     Edge rules: B_i^{i+1} = sqrt(omega) U_i, B_i^{i-1} = sqrt(lambda) U_{i-1}†,
     plus the two boundary self-loops sqrt(lambda) I at node 0 and
-    sqrt(omega) I at node N-1. The construction satisfies the completeness
-    condition because omega + lambda = 1.
+    sqrt(omega) I at node N-1. Unitarity is not checked here, so a tampered
+    chain reaches ``validate`` and gets a completeness report.
     """
-    n, w, lam = chain.n_nodes, chain.omega, chain.lam
-    d = chain.walker_dim
-    eye = np.eye(d, dtype=complex)
-    jumps = {}
-    for i in range(n - 1):
-        jumps[(i, i + 1)] = np.sqrt(w) * chain.unitaries[i]
-    for i in range(1, n):
-        jumps[(i, i - 1)] = np.sqrt(lam) * chain.unitaries[i - 1].conj().T
-    jumps[(0, 0)] = np.sqrt(lam) * eye
-    jumps[(n - 1, n - 1)] = np.sqrt(w) * eye
-    return OqwSpec(n, d, jumps)
+    right, left = np.sqrt(omega), np.sqrt(1.0 - omega)
+    jumps = {(i, i + 1): right * u for i, u in enumerate(unitaries)}
+    jumps.update({(i + 1, i): left * u.conj().T for i, u in enumerate(unitaries)})
+    eye = np.eye(unitaries[0].shape[0], dtype=complex)
+    last = len(unitaries)
+    jumps[(0, 0)] = left * eye
+    jumps[(last, last)] = right * eye
+    return jumps
+
+
+def chain_to_spec(chain: LinearChainSpec) -> OqwSpec:
+    """Jump operators of the linear-chain model (``chain_jumps``); they
+    satisfy the completeness condition because omega + lambda = 1."""
+    return OqwSpec(chain.n_nodes, chain.walker_dim, chain_jumps(chain.omega, chain.unitaries))
 
 
 # --- JSON wire format ------------------------------------------------------
@@ -217,8 +253,8 @@ def _matrix_to_json(m) -> dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def _matrix_from_json(obj) -> np.ndarray:
-    return np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
+def matrix_from_json(obj) -> np.ndarray:
+    return asmatrix(np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float))
 
 
 def spec_to_json(spec: OqwSpec) -> str:
@@ -229,7 +265,7 @@ def spec_to_json(spec: OqwSpec) -> str:
 
 def spec_from_json(text: str) -> OqwSpec:
     obj = json.loads(text)
-    jumps = {(e["from"], e["to"]): _matrix_from_json(e) for e in obj["jumps"]}
+    jumps = {(e["from"], e["to"]): matrix_from_json(e) for e in obj["jumps"]}
     return OqwSpec(obj["N"], obj["dH"], jumps)
 
 
@@ -241,4 +277,4 @@ def chain_to_json(chain: LinearChainSpec) -> str:
 def chain_from_json(text: str) -> LinearChainSpec:
     obj = json.loads(text)
     return LinearChainSpec(obj["N"], obj["omega"],
-                           [_matrix_from_json(u) for u in obj["unitaries"]])
+                           [matrix_from_json(u) for u in obj["unitaries"]])

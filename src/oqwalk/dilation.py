@@ -213,7 +213,7 @@ def step_via_dilation(dil: DilationUnitary, state: core.DiagonalState,
     The ancilla is prepared as diag(1-omega, omega) for the plain locality
     dilation and as the canonical weight mixture for the generalized one.
     Off-diagonal residue on the node register after tracing flags an
-    internal inconsistency.
+    internal inconsistency (``DiagonalState.from_dense`` raises).
     """
     if dil.kind not in ("local", "generalized"):
         raise ValueError(f"stepping requires a locality dilation, got {dil.kind!r}")
@@ -224,23 +224,9 @@ def step_via_dilation(dil: DilationUnitary, state: core.DiagonalState,
         anc = np.diag(np.array(dil.ancilla_weights, dtype=complex))
     else:
         anc = np.diag(np.array([1.0 - omega, omega], dtype=complex))
-    full = np.zeros((d * n, d * n), dtype=complex)
-    for i, block in state.blocks.items():
-        proj = np.zeros((n, n), dtype=complex)
-        proj[i, i] = 1.0
-        full += np.kron(block, proj)
-    evolved = dil.matrix @ np.kron(full, anc) @ dil.matrix.conj().T
+    evolved = dil.matrix @ np.kron(state.to_dense(), anc) @ dil.matrix.conj().T
     reduced = partial_trace(evolved, [d, n, k], keep=(0, 1))
-    tensor = reduced.reshape(d, n, d, n)
-    off = tensor.copy()
-    for i in range(n):
-        off[:, i, :, i] = 0.0
-    worst = np.abs(off).max()
-    if worst > 1e-10:
-        raise RuntimeError(f"node register left the diagonal form "
-                           f"(off-diagonal residue {worst:.3e})")
-    blocks = {i: np.ascontiguousarray(tensor[:, i, :, i]) for i in range(n)}
-    return core.DiagonalState(n, blocks)
+    return core.DiagonalState.from_dense(reduced, n, d)
 
 
 _METHODS = ("stinespring", "sznagy", "local")

@@ -221,3 +221,20 @@ def test_gaussian_window_against_master_iteration():
     gauss = np.array([gaussian_profile(m, n, p) for m in range(100)])
     assert kolmogorov_distance(dist, gauss) <= 0.05
     assert 0.15 <= total_variation(dist, gauss) <= 0.20
+
+
+@pytest.mark.parametrize("run", [
+    lambda: iterate_master(delta0(4), ChainParams(4, 0.6), -1),
+    lambda: power_iterate(transition_matrix(ChainParams(4, 0.6)), delta0(4), -1),
+], ids=["iterate_master", "power_iterate"])
+def test_negative_step_count_rejected(run):
+    with pytest.raises(ValueError, match="step count must be non-negative"):
+        run()
+
+
+def test_master_step_steps_each_column():
+    p = ChainParams(6, 0.3)
+    cols = np.random.default_rng(4).dirichlet(np.ones(6), size=3).T
+    out = master_step(cols, p)
+    for k in range(3):
+        assert np.array_equal(out[:, k], master_step(cols[:, k], p))

@@ -217,3 +217,15 @@ def test_embedded_maps_are_unital():
         pairs = [(weights[i], haar_unitary(2, rng)) for i in range(m)]
         real = channels.embed_random_unitary(pairs, np.eye(2) / 2)
         assert trace_distance(channels.limit_state(real), np.eye(2) / 2) <= 1e-12
+
+
+def test_nonconvergence_message_reports_last_delta():
+    real = channels.depolarizing_realization(0.4, PLUS, omega=0.5)
+    with pytest.raises(RuntimeError) as info:
+        channels.iterate_limit(real, max_steps=4, tol=1e-30)
+    # the last delta is the trace distance between the post-selected states
+    # of steps 3 and 4
+    state = core.evolve(real.spec, real.initial, 3)
+    prev = channels.postselect(state, 2)
+    cur = channels.postselect(core.step(real.spec, state), 2)
+    assert f"last delta {trace_distance(cur, prev):.3e} vs tol 1e-30" in str(info.value)

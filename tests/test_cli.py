@@ -185,3 +185,75 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["steady", "--bogus"])
     assert info.value.code == 2
+
+
+EYE_JSON = {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("{not json", "not valid JSON"),
+    (json.dumps({"omega": 0.5, "unitaries": [EYE_JSON]}), "missing the keys ['N']"),
+    (json.dumps({"N": 2, "unitaries": [EYE_JSON]}), "missing the keys ['omega']"),
+    (json.dumps({"N": 2, "omega": 0.5}), "missing the keys ['unitaries']"),
+    (json.dumps({"N": 2, "omega": 0.5, "unitaries": []}), "got N=2 and 0 unitaries"),
+    (json.dumps({"N": 4, "omega": 0.5, "unitaries": [EYE_JSON]}), "got N=4 and 1 unitaries"),
+], ids=["malformed-json", "missing-N", "missing-omega", "missing-unitaries",
+        "empty-unitaries", "wrong-unitary-count"])
+def test_spec_file_faults_are_usage_errors(capsys, tmp_path, text, fault):
+    path = tmp_path / "chain.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and fault in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (["steady", "--N", "5", "--omega", "0.6", "--steps", "-5"], "--steps must be at least 0"),
+    (["profile", "--N", "5", "--omega", "0.6", "--steps", "-1"], "--steps must be at least 0"),
+    (["verify", "--N", "3", "--steps", "0"], "--steps must be at least 1"),
+    (["verify", "--N", "3", "--dH", "0"], "--dH must be at least 1"),
+    (["resources", "--N", "4", "--omega", "0.6", "--dH", "0"], "--dH must be at least 1"),
+], ids=["steady-negative-steps", "profile-negative-steps", "verify-zero-steps",
+        "verify-zero-dH", "resources-zero-dH"])
+def test_count_options_are_usage_errors(capsys, argv, fault):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {fault}, got {argv[-1]}\n"
+
+
+def test_steady_zero_steps_prints_the_start(capsys):
+    code, out, _ = run(capsys, "steady", "--N", "3", "--omega", "0.6", "--steps", "0")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [float(r[1]) for r in rows] == [1.0, 0.0, 0.0]
+
+
+def test_tampered_spec_report_lists_each_violation(capsys, tmp_path):
+    # node 0's right jump and node 1's left jump carry the broken matrix;
+    # the deviations are those of a per-node scan over every edge
+    bad = {"N": 3, "omega": 0.6,
+           "unitaries": [{"re": [[1.0, 0.0], [0.0, 0.5]], "im": [[0.0] * 2] * 2}, EYE_JSON]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code, out, err = run(capsys, "verify", "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    report = json.loads(err[len("failure: "):])
+    u0 = np.diag([1.0, 0.5]).astype(complex)
+    jumps = {(0, 1): np.sqrt(0.6) * u0, (1, 2): np.sqrt(0.6) * np.eye(2),
+             (1, 0): np.sqrt(0.4) * u0.T, (2, 1): np.sqrt(0.4) * np.eye(2),
+             (0, 0): np.sqrt(0.4) * np.eye(2), (2, 2): np.sqrt(0.6) * np.eye(2)}
+    expected = []
+    for node in range(3):
+        acc = np.zeros((2, 2), dtype=complex)
+        for (src, _), b in jumps.items():
+            if src == node:
+                acc += b.conj().T @ b
+        dev = float(np.abs(acc - np.eye(2)).max())
+        if dev > 1e-10:
+            expected.append({"node": node, "deviation": dev})
+    assert report == {"pass": False, "violations": expected}
+    assert [v["node"] for v in expected] == [0, 1]

@@ -236,3 +236,38 @@ def test_spec_json_schema_fields():
     assert obj["N"] == 2 and obj["dH"] == 2
     entry = obj["jumps"][0]
     assert {"from", "to", "re", "im"} <= set(entry)
+
+
+def test_empty_state_has_no_walker_dim():
+    state = core.DiagonalState(3, {})
+    with pytest.raises(ValueError, match="no blocks"):
+        state.walker_dim
+    with pytest.raises(ValueError, match="no blocks"):
+        state.block(0)
+
+
+def test_to_dense_rejects_registers_too_small():
+    state = core.DiagonalState.pure([1.0, 0.0, 0.0], 0, 5)
+    with pytest.raises(ValueError, match="do not fit"):
+        state.to_dense((2, 8))
+
+
+def test_from_dense_rejects_mass_in_padded_levels():
+    # qutrit walker on 5 nodes in a 4 x 8 register; one unit of mass sits on
+    # the unused fourth walker level of node 2
+    state = core.DiagonalState.pure([1.0, 0.0, 0.0], 0, 5)
+    rho = state.to_dense((4, 8)).reshape(4, 8, 4, 8)
+    rho[0, 0, 0, 0], rho[3, 2, 3, 2] = 0.5, 0.5
+    rho = rho.reshape(32, 32)
+    out = core.DiagonalState.from_dense(rho, 5, 3, (4, 8))
+    assert core.node_distribution(out) == [0.5, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(RuntimeError, match="leaked into padded sectors"):
+        core.DiagonalState.from_dense(rho, 5, 3, (4, 8), trace=1.0)
+
+
+def test_chain_jumps_skip_the_unitarity_check():
+    broken = np.diag([1.0, 0.5]).astype(complex)
+    spec = core.OqwSpec(2, 2, core.chain_jumps(0.6, [broken]))
+    assert [node for node, _ in core.validate(spec)] == [0, 1]
+    with pytest.raises(ValueError, match="not unitary"):
+        core.LinearChainSpec(2, 0.6, [broken])
