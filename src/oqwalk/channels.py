@@ -161,13 +161,13 @@ def limit_state(real: ChannelRealization, mode: str = "analytic",
         chain, n = real.chain, real.chain.n_nodes
         d = real.initial.walker_dim
         out = np.zeros((d, d), dtype=complex)
-        for j in range(n):
-            block = real.initial.block(j)
-            # product U_{N-2} ... U_j, identity for the target node itself
-            u = np.eye(d, dtype=complex)
-            for k in range(j, n - 1):
-                u = chain.unitaries[k] @ u
-            out += u @ block @ u.conj().T
+        # one backward sweep: u is the product U_{N-2} ... U_j, the identity
+        # for the target node itself
+        u = np.eye(d, dtype=complex)
+        for j in range(n - 1, -1, -1):
+            if j < n - 1:
+                u = u @ chain.unitaries[j]
+            out += u @ real.initial.block(j) @ u.conj().T
         return out
     if mode == "iterate":
         state, _ = iterate_limit(real, max_steps, tol)

@@ -296,75 +296,72 @@ def build_walk(chain: core.LinearChainSpec, n: int, ancilla_policy: str = "reuse
     return c
 
 
-# --- dense simulation -------------------------------------------------------
+# --- gate-local simulation ---------------------------------------------------
 
-def _controlled_matrix(gate: Gate) -> np.ndarray:
-    """Gate matrix over (controls..., targets...), controls as high bits."""
+def _apply_local(t: np.ndarray, gate: Gate, axis: dict, conj: bool = False) -> None:
+    """Apply a unitary gate in place to the tensor axes ``axis[q]`` of its qubits.
+
+    Only the basic-index slice where every control axis holds its polarity
+    changes; the base matrix (conjugated when acting on bra axes) is
+    contracted with the target axes of that slice. An X is a permutation,
+    so it flips the target axis instead of multiplying.
+    """
+    idx = [slice(None)] * t.ndim
+    for q, pol in gate.controls:
+        idx[axis[q]] = pol
+    idx = tuple(idx)
+    ctrl_axes = [axis[q] for q, _ in gate.controls]
+    # target axes inside the slice, where the control axes are gone
+    tgt = [axis[q] - sum(a < axis[q] for a in ctrl_axes) for q in gate.targets]
+    view = t[idx]
     if gate.kind == "x":
-        base = np.array([[0, 1], [1, 0]], dtype=complex)
-    elif gate.kind == "ry":
-        base = _ry_matrix(gate.angle)
-    elif gate.kind == "u":
-        base = asmatrix(gate.matrix)
-    else:
-        raise ValueError(f"gate kind {gate.kind!r} has no unitary matrix")
-    c = len(gate.controls)
-    if c == 0:
-        return base
-    t_dim = base.shape[0]
-    full = np.eye((2 ** c) * t_dim, dtype=complex)
-    sel = 0
-    for _, pol in gate.controls:
-        sel = (sel << 1) | pol
-    s = sel * t_dim
-    full[s:s + t_dim, s:s + t_dim] = base
-    return full
-
-
-def _embed(op: np.ndarray, positions, nq: int) -> np.ndarray:
-    """Expand an operator on the given tensor positions to all nq qubits."""
-    k = len(positions)
-    rest = [p for p in range(nq) if p not in positions]
-    order = list(positions) + rest
-    full = np.kron(op, np.eye(2 ** (nq - k), dtype=complex))
-    tensor = full.reshape((2,) * (2 * nq))
-    perm = [0] * nq
-    for j, pos in enumerate(order):
-        perm[pos] = j
-    tensor = tensor.transpose(perm + [p + nq for p in perm])
-    return tensor.reshape(2 ** nq, 2 ** nq)
+        t[idx] = np.flip(view, tgt[0])
+        return
+    base = _ry_matrix(gate.angle) if gate.kind == "ry" else asmatrix(gate.matrix)
+    if conj:
+        base = base.conj()
+    k = len(tgt)
+    out = np.tensordot(base.reshape((2,) * (2 * k)), view, axes=(range(k, 2 * k), tgt))
+    t[idx] = np.moveaxis(out, range(k), tgt)
 
 
 def circuit_matrix(circuit: Circuit) -> np.ndarray:
     """Total unitary of a measurement-free circuit on its declared qubits."""
     nq = circuit.n_qubits
     qubit_pos = {q: i for i, q in enumerate(sorted(circuit.all_qubits()))}
-    total = np.eye(2 ** nq, dtype=complex)
+    total = np.eye(2 ** nq, dtype=complex).reshape((2,) * nq + (2 ** nq,))
     for gate in circuit.gates:
         if gate.kind in ("measure_nonsel", "reset"):
             raise ValueError("circuit_matrix requires a unitary circuit")
-        positions = [qubit_pos[q] for q in gate.qubits]
-        total = _embed(_controlled_matrix(gate), positions, nq) @ total
-    return total
+        _apply_local(total, gate, qubit_pos)
+    return total.reshape(2 ** nq, 2 ** nq)
 
 
 class _DensitySim:
-    """Dense density-matrix state over a live subset of the circuit qubits.
+    """Density-matrix state over a live subset of the circuit qubits.
 
-    Ancilla qubits enter the state lazily (as |0><0|) when first touched
-    and are traced out as soon as no later gate references them, so the
-    live dimension stays at walker x node x one ancilla pair even for the
-    fresh ancilla policy.
+    The state is a ``(2,) * 2nq`` tensor, ket axes first and bra axes after,
+    both in ``live`` order; every gate acts on its own axes only. Ancilla
+    qubits enter the state lazily (as |0><0|) when first touched and are
+    traced out as soon as no later gate references them, so the live
+    dimension stays at walker x node x one ancilla pair even for the fresh
+    ancilla policy.
     """
 
     def __init__(self, rho: np.ndarray, live: list):
-        self.rho = rho
         self.live = list(live)
+        # a copy: gates write the state in place
+        self.rho = np.array(rho, dtype=complex).reshape((2,) * (2 * len(self.live)))
+
+    def dense(self) -> np.ndarray:
+        dim = 2 ** len(self.live)
+        return self.rho.reshape(dim, dim)
 
     def _attach(self, q: int):
-        zero = np.zeros((2, 2), dtype=complex)
-        zero[0, 0] = 1.0
-        self.rho = np.kron(self.rho, zero)
+        nq = len(self.live)
+        rho = np.zeros((2,) * (2 * nq + 2), dtype=complex)
+        rho[(slice(None),) * nq + (0,) + (slice(None),) * nq + (0,)] = self.rho
+        self.rho = rho
         self.live.append(q)
 
     def ensure(self, qubits):
@@ -372,33 +369,29 @@ class _DensitySim:
             if q not in self.live:
                 self._attach(q)
 
-    def _proj(self, q: int, bit: int) -> np.ndarray:
-        p = np.zeros((2, 2), dtype=complex)
-        p[bit, bit] = 1.0
-        return _embed(p, [self.live.index(q)], len(self.live))
-
     def apply(self, gate: Gate):
         self.ensure(gate.qubits)
+        nq = len(self.live)
         if gate.kind == "measure_nonsel":
             (q,) = gate.targets
-            p0, p1 = self._proj(q, 0), self._proj(q, 1)
-            self.rho = p0 @ self.rho @ p0 + p1 @ self.rho @ p1
+            pos = self.live.index(q)
+            for ket, bra in ((0, 1), (1, 0)):
+                idx = [slice(None)] * (2 * nq)
+                idx[pos], idx[pos + nq] = ket, bra
+                self.rho[tuple(idx)] = 0.0
         elif gate.kind == "reset":
             (q,) = gate.targets
             self.trace_out(q)
             self._attach(q)
         else:
-            positions = [self.live.index(q) for q in gate.qubits]
-            g = _embed(_controlled_matrix(gate), positions, len(self.live))
-            self.rho = g @ self.rho @ g.conj().T
+            ket = {q: i for i, q in enumerate(self.live)}
+            _apply_local(self.rho, gate, ket)
+            _apply_local(self.rho, gate, {q: i + nq for q, i in ket.items()}, conj=True)
 
     def trace_out(self, q: int):
         pos = self.live.index(q)
-        nq = len(self.live)
-        tensor = self.rho.reshape((2,) * (2 * nq))
-        tensor = np.trace(tensor, axis1=pos, axis2=pos + nq)
+        self.rho = np.trace(self.rho, axis1=pos, axis2=pos + len(self.live))
         self.live.pop(pos)
-        self.rho = tensor.reshape(2 ** (nq - 1), 2 ** (nq - 1))
 
 
 def simulate_density(circuit: Circuit, initial: core.DiagonalState,
@@ -436,7 +429,7 @@ def simulate_density(circuit: Circuit, initial: core.DiagonalState,
     for q in [q for q in sim.live if q not in main]:
         sim.trace_out(q)
 
-    return core.DiagonalState.from_dense(sim.rho, initial.n_nodes, initial.walker_dim,
+    return core.DiagonalState.from_dense(sim.dense(), initial.n_nodes, initial.walker_dim,
                                          dims, trace=initial.total_trace())
 
 

@@ -95,6 +95,9 @@ def cmd_steady(args) -> str:
 
 def cmd_profile(args) -> str:
     _need(args, "N")
+    if args.steps == 0:
+        raise UsageError("--steps must be at least 1 for profile (the Gaussian "
+                         "profile is defined for n >= 1), got 0")
     params = analysis.ChainParams(args.N, _resolve_omega(args))
     grid = [args.steps] if args.steps is not None else list(range(100, 501, 50))
     dist = np.zeros(args.N)
@@ -157,6 +160,10 @@ def _read_chain_spec(path: str) -> tuple:
     if not isinstance(n, int) or n < 2 or len(mats) != n - 1:
         raise UsageError(f"spec needs an integer N >= 2 and N - 1 unitaries, "
                          f"got N={n!r} and {len(mats)} unitaries")
+    shapes = list(dict.fromkeys(m.shape for m in mats))
+    if len(shapes) > 1 or shapes[0][0] != shapes[0][1]:
+        raise UsageError(f"spec unitaries must be square matrices of one size, "
+                         f"got shapes {shapes}")
     return n, omega, mats
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,30 @@ def test_nonconvergence_message_reports_last_delta():
     prev = channels.postselect(state, 2)
     cur = channels.postselect(core.step(real.spec, state), 2)
     assert f"last delta {trace_distance(cur, prev):.3e} vs tol 1e-30" in str(info.value)
+
+
+def loop_analytic_limit(real):
+    """The per-node product rebuild that the backward sweep replaced."""
+    chain, n = real.chain, real.chain.n_nodes
+    d = real.initial.walker_dim
+    out = np.zeros((d, d), dtype=complex)
+    for j in range(n):
+        u = np.eye(d, dtype=complex)
+        for k in range(j, n - 1):
+            u = chain.unitaries[k] @ u
+        out += u @ real.initial.block(j) @ u.conj().T
+    return out
+
+
+def test_analytic_limit_sweep_matches_per_node_products():
+    rng = np.random.default_rng(7)
+    rho = random_density(2, rng)
+    weights = rng.dirichlet(np.ones(200))
+    real = channels.embed_random_unitary(
+        [(q, haar_unitary(2, rng)) for q in weights], rho)
+    # the same initial blocks pushed through a Haar chain, so the products
+    # between a node and the target are not all the identity
+    haar = dataclasses.replace(real, chain=core.LinearChainSpec(
+        200, 0.5, [haar_unitary(2, rng) for _ in range(199)]))
+    for case in (real, haar):
+        assert np.abs(channels.limit_state(case) - loop_analytic_limit(case)).max() <= 1e-12

@@ -350,6 +350,151 @@ def test_gate_validation():
         Gate("hadamard", (0,))
 
 
+# --- gate-local kernel against the dense embedding ---------------------------------
+
+def dense_controlled_matrix(gate):
+    """Reference: gate matrix over (controls..., targets...), controls as high bits."""
+    if gate.kind == "x":
+        base = np.array([[0, 1], [1, 0]], dtype=complex)
+    elif gate.kind == "ry":
+        base = circuit._ry_matrix(gate.angle)
+    else:
+        base = np.asarray(gate.matrix, dtype=complex)
+    c = len(gate.controls)
+    if c == 0:
+        return base
+    t_dim = base.shape[0]
+    full = np.eye((2 ** c) * t_dim, dtype=complex)
+    sel = 0
+    for _, pol in gate.controls:
+        sel = (sel << 1) | pol
+    s = sel * t_dim
+    full[s:s + t_dim, s:s + t_dim] = base
+    return full
+
+
+def dense_embed(op, positions, nq):
+    """Reference: expand an operator on the given tensor positions to all nq qubits."""
+    k = len(positions)
+    rest = [p for p in range(nq) if p not in positions]
+    order = list(positions) + rest
+    full = np.kron(op, np.eye(2 ** (nq - k), dtype=complex))
+    tensor = full.reshape((2,) * (2 * nq))
+    perm = [0] * nq
+    for j, pos in enumerate(order):
+        perm[pos] = j
+    tensor = tensor.transpose(perm + [p + nq for p in perm])
+    return tensor.reshape(2 ** nq, 2 ** nq)
+
+
+def random_gate(rng, nq):
+    """X, RY or u on 1-2 targets with 0-3 controls of mixed polarity."""
+    kind = rng.choice(["x", "ry", "u"])
+    n_targets = int(rng.integers(1, 3)) if kind == "u" and nq >= 2 else 1
+    n_controls = int(rng.integers(0, min(3, nq - n_targets) + 1))
+    qubits = [int(q) for q in rng.permutation(nq)[:n_targets + n_controls]]
+    targets = tuple(qubits[:n_targets])
+    controls = tuple((q, int(rng.integers(2))) for q in qubits[n_targets:])
+    if kind == "x":
+        return Gate("x", targets, controls)
+    if kind == "ry":
+        return Gate("ry", targets, controls, angle=float(rng.uniform(-np.pi, np.pi)))
+    return Gate("u", targets, controls, matrix=haar_unitary(2 ** n_targets, rng))
+
+
+def dense_gate(gate, nq):
+    return dense_embed(dense_controlled_matrix(gate), list(gate.qubits), nq)
+
+
+def test_unitary_gate_step_matches_dense_conjugation():
+    rng = np.random.default_rng(30)
+    kinds = set()
+    for _ in range(300):
+        nq = int(rng.integers(1, 7))
+        gate = random_gate(rng, nq)
+        kinds.add((gate.kind, len(gate.targets), len(gate.controls)))
+        rho = random_density(2 ** nq, rng)
+        sim = circuit._DensitySim(rho, list(range(nq)))
+        sim.apply(gate)
+        g = dense_gate(gate, nq)
+        assert np.abs(sim.dense() - g @ rho @ g.conj().T).max() <= 1e-13
+    assert {("x", 1, c) for c in range(4)} <= kinds
+    assert {("u", 2, c) for c in range(4)} <= kinds
+
+
+def test_circuit_matrix_matches_dense_product():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        nq = int(rng.integers(1, 7))
+        gates = [random_gate(rng, nq) for _ in range(6)]
+        total = np.eye(2 ** nq, dtype=complex)
+        for gate in gates:
+            total = dense_gate(gate, nq) @ total
+        got = circuit.circuit_matrix(Circuit({"q": tuple(range(nq))}, gates))
+        assert np.abs(got - total).max() <= 1e-13
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("pol", [0, 1])
+def test_controlled_ladders_are_exact_permutations(g, pol):
+    # the walk's ladders carry an ancilla control; with the control open
+    # the register is untouched, with it closed the register shifts
+    qg, qa = tuple(range(g)), g
+    for ladder, shift in ((circuit._inc_gates, 1), (circuit._dec_gates, -1)):
+        m = circuit.circuit_matrix(Circuit({"qG": qg, "qA": (qa,)},
+                                           ladder(qg, extra=((qa, pol),))))
+        size = 2 ** g
+        expected = np.zeros((2 * size, 2 * size))
+        for i in range(size):
+            for a in (0, 1):
+                j = (i + shift) % size if a == pol else i
+                expected[2 * j + a, 2 * i + a] = 1.0
+        assert np.array_equal(m.real, expected)
+        assert not np.any(m.imag)
+
+
+def test_measurement_step_matches_dense_projectors():
+    rng = np.random.default_rng(32)
+    for nq in range(1, 7):
+        for q in range(nq):
+            rho = random_density(2 ** nq, rng)
+            sim = circuit._DensitySim(rho, list(range(nq)))
+            sim.apply(Gate("measure_nonsel", (q,)))
+            want = sum(p @ rho @ p for p in (
+                dense_embed(np.diag([1.0, 0.0]).astype(complex), [q], nq),
+                dense_embed(np.diag([0.0, 1.0]).astype(complex), [q], nq)))
+            assert np.abs(sim.dense() - want).max() <= 1e-13
+
+
+def test_reset_step_matches_dense_kraus_operators():
+    rng = np.random.default_rng(33)
+    for nq in range(1, 7):
+        for q in range(nq):
+            rho = random_density(2 ** nq, rng)
+            sim = circuit._DensitySim(rho, list(range(nq)))
+            sim.apply(Gate("reset", (q,)))
+            kraus = [dense_embed(np.outer([1.0, 0.0], e).astype(complex), [q], nq)
+                     for e in np.eye(2)]
+            want = sum(k @ rho @ k.conj().T for k in kraus)
+            # reset re-attaches the qubit last in the live order
+            assert sim.live == [p for p in range(nq) if p != q] + [q]
+            order = sim.live + [p + nq for p in sim.live]
+            want = want.reshape((2,) * (2 * nq)).transpose(order).reshape(2 ** nq, 2 ** nq)
+            assert np.abs(sim.dense() - want).max() <= 1e-13
+
+
+def test_gate_on_a_new_qubit_attaches_it_as_zero():
+    rng = np.random.default_rng(34)
+    rho = random_density(8, rng)
+    gate = Gate("u", (3, 1), ((0, 0),), matrix=haar_unitary(4, rng))
+    sim = circuit._DensitySim(rho, [0, 1, 2])
+    sim.apply(gate)
+    assert sim.live == [0, 1, 2, 3]
+    g = dense_gate(gate, 4)
+    want = g @ np.kron(rho, np.diag([1.0, 0.0])) @ g.conj().T
+    assert np.abs(sim.dense() - want).max() <= 1e-13
+
+
 # --- cost model ------------------------------------------------------------------
 
 def test_cost_parallel_single_qubit_gates():

@@ -257,3 +257,28 @@ def test_tampered_spec_report_lists_each_violation(capsys, tmp_path):
             expected.append({"node": node, "deviation": dev})
     assert report == {"pass": False, "violations": expected}
     assert [v["node"] for v in expected] == [0, 1]
+
+
+def test_profile_zero_steps_is_usage_error(capsys):
+    code, out, err = run(capsys, "profile", "--N", "5", "--omega", "0.6", "--steps", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --steps must be at least 1 for profile")
+    assert err.endswith("got 0\n")
+
+
+EYE3_JSON = {"re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}
+
+
+@pytest.mark.parametrize("unitaries, shapes", [
+    ([EYE_JSON, EYE3_JSON], "[(2, 2), (3, 3)]"),
+    ([{"re": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "im": [[0.0] * 3] * 2}] * 2, "[(2, 3)]"),
+], ids=["mixed-sizes", "non-square"])
+def test_spec_matrix_shapes_are_usage_errors(capsys, tmp_path, unitaries, shapes):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"N": 3, "omega": 0.5, "unitaries": unitaries}))
+    code, out, err = run(capsys, "verify", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: spec unitaries must be square matrices of one size, "
+                   f"got shapes {shapes}\n")

@@ -1,6 +1,7 @@
 """Property tests over random chains: the birth-death kernel against its
-matrix and against exact block evolution, and the dense <-> diagonal
-boundary shared by the dilation and circuit routes."""
+matrix and against exact block evolution, the dense <-> diagonal
+boundary shared by the dilation and circuit routes, and the agreement of
+the exact, dilation and circuit steps."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from oqwalk import circuit, core, dilation
 from oqwalk.analysis import ChainParams, iterate_master, master_step, transition_matrix
 from oqwalk.channels import coefficient_evolution
-from oqwalk.matrixkit import haar_unitary, random_density, random_pure_state
+from oqwalk.matrixkit import haar_unitary, random_density, random_pure_state, trace_distance
 
 sizes = st.integers(min_value=2, max_value=40)
 omegas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -124,3 +125,22 @@ def test_dilation_and_circuit_reject_coherence_through_the_shared_check():
                            [circuit.Gate("u", (1,), matrix=HADAMARD)])
     with pytest.raises(RuntimeError, match="node register left the diagonal form"):
         circuit.simulate_density(circ, state)
+
+
+@FEW
+@given(n=st.integers(2, 20), omega=omegas, d=st.sampled_from([2, 3]),
+       steps=st.integers(1, 3), data=st.data())
+def test_step_equals_dilation_equals_circuit(n, omega, d, steps, data):
+    rng = np.random.default_rng(data.draw(seeds))
+    chain = core.LinearChainSpec(n, omega, [haar_unitary(d, rng) for _ in range(n - 1)])
+    spec = core.chain_to_spec(chain)
+    dil = dilation.build_u_loc(chain)
+    step_circ = circuit.build_walk(chain, 1)
+    direct = via_dil = via_circ = random_state(rng, n, d)
+    for _ in range(steps):
+        direct = core.step(spec, direct)
+        via_dil = dilation.step_via_dilation(dil, via_dil, omega)
+        via_circ = circuit.simulate_density(step_circ, via_circ, omega)
+        for i in range(n):
+            assert trace_distance(direct.block(i), via_dil.block(i)) <= 1e-10
+            assert trace_distance(direct.block(i), via_circ.block(i)) <= 1e-10
