@@ -43,15 +43,17 @@ def _write_out(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".oqw-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".oqw-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(f"cannot write --out {out_path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _need(args, *names):
@@ -73,9 +75,12 @@ def _tolerance() -> float:
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise UsageError(f"OQW_TOL={raw!r} is not a number") from exc
+    if not 0.0 <= tol < math.inf:
+        raise UsageError(f"OQW_TOL={raw!r} must be a finite number at least 0")
+    return tol
 
 
 def cmd_steady(args) -> str:
@@ -95,9 +100,6 @@ def cmd_steady(args) -> str:
 
 def cmd_profile(args) -> str:
     _need(args, "N")
-    if args.steps == 0:
-        raise UsageError("--steps must be at least 1 for profile (the Gaussian "
-                         "profile is defined for n >= 1), got 0")
     params = analysis.ChainParams(args.N, _resolve_omega(args))
     grid = [args.steps] if args.steps is not None else list(range(100, 501, 50))
     dist = np.zeros(args.N)
@@ -300,20 +302,23 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    least_steps = 1 if args.command == "verify" else 0
+    # verify compares at least one step; the Gaussian profile needs n >= 1
+    least_steps = 1 if args.command in ("verify", "profile") else 0
     try:
         if args.dH < 1:
             raise UsageError(f"--dH must be at least 1, got {args.dH}")
+        if args.N is not None and args.N < 2:
+            raise UsageError(f"--N must be at least 2, got {args.N}")
         if args.steps is not None and args.steps < least_steps:
-            raise UsageError(f"--steps must be at least {least_steps}, got {args.steps}")
-        text = _HANDLERS[args.command](args)
+            scope = " for profile" if args.command == "profile" else ""
+            raise UsageError(f"--steps must be at least {least_steps}{scope}, got {args.steps}")
+        _write_out(_HANDLERS[args.command](args), args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ValueError, RuntimeError, OSError, KeyError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
-    _write_out(text, args.out)
     return 0
 
 

@@ -139,6 +139,15 @@ def test_verify_honors_tolerance_env(capsys, monkeypatch):
     assert '"pass": false' in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_verify_rejects_non_finite_or_negative_tolerance(capsys, monkeypatch, value):
+    monkeypatch.setenv("OQW_TOL", value)
+    code, out, err = run(capsys, "verify", "--seed", "7", "--N", "4", "--steps", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: OQW_TOL={value!r} must be a finite number at least 0\n"
+
+
 def test_resources_table_row(capsys):
     code, out, _ = run(capsys, "resources", "--N", "4", "--omega", "0.6")
     assert code == 0
@@ -211,12 +220,18 @@ def test_spec_file_faults_are_usage_errors(capsys, tmp_path, text, fault):
 
 @pytest.mark.parametrize("argv, fault", [
     (["steady", "--N", "5", "--omega", "0.6", "--steps", "-5"], "--steps must be at least 0"),
-    (["profile", "--N", "5", "--omega", "0.6", "--steps", "-1"], "--steps must be at least 0"),
+    (["profile", "--N", "5", "--omega", "0.6", "--steps", "-1"],
+     "--steps must be at least 1 for profile"),
     (["verify", "--N", "3", "--steps", "0"], "--steps must be at least 1"),
     (["verify", "--N", "3", "--dH", "0"], "--dH must be at least 1"),
     (["resources", "--N", "4", "--omega", "0.6", "--dH", "0"], "--dH must be at least 1"),
+    (["steady", "--omega", "0.6", "--steps", "5", "--N", "1"], "--N must be at least 2"),
+    (["profile", "--omega", "0.6", "--N", "1"], "--N must be at least 2"),
+    (["verify", "--steps", "2", "--N", "1"], "--N must be at least 2"),
+    (["resources", "--omega", "0.6", "--N", "1"], "--N must be at least 2"),
 ], ids=["steady-negative-steps", "profile-negative-steps", "verify-zero-steps",
-        "verify-zero-dH", "resources-zero-dH"])
+        "verify-zero-dH", "resources-zero-dH", "steady-one-node", "profile-one-node",
+        "verify-one-node", "resources-one-node"])
 def test_count_options_are_usage_errors(capsys, argv, fault):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -282,3 +297,18 @@ def test_spec_matrix_shapes_are_usage_errors(capsys, tmp_path, unitaries, shapes
     assert out == ""
     assert err == ("error: spec unitaries must be square matrices of one size, "
                    f"got shapes {shapes}\n")
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_one_failure_line(capsys, tmp_path, target):
+    (tmp_path / "taken").mkdir()
+    out_path = tmp_path / "absent" / "x.csv" if target == "missing-dir" else tmp_path / "taken"
+    code, out, err = run(capsys, "steady", "--N", "3", "--omega", "0.6", "--steps", "2",
+                         "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"failure: cannot write --out {out_path}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no .oqw-*.tmp left
+    assert list((tmp_path / "taken").iterdir()) == []

@@ -1,7 +1,11 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oqwalk import core, dilation
+from oqwalk.cli import main
 from oqwalk.matrixkit import (
     I2,
     X,
@@ -265,6 +269,134 @@ def test_generalized_condition_errors():
     mismatched[(0, 2)] = np.sqrt(0.35) * haar_unitary(2, rng)
     with pytest.raises(ValueError, match="condition 3"):
         dilation.build_generalized(core.OqwSpec(4, 2, mismatched), 3)
+
+
+# --- block writer against the kron-sum construction ----------------------------
+
+def kron_u_loc(chain):
+    """Reference: the locality dilation as a sum of full-size kron products."""
+    n, d = chain.n_nodes, chain.walker_dim
+    eye_d = np.eye(d, dtype=complex)
+
+    def hop(j, i):
+        e = np.zeros((n, n), dtype=complex)
+        e[j, i] = 1.0
+        return e
+
+    def abit(b_out, b_in):
+        e = np.zeros((2, 2), dtype=complex)
+        e[b_out, b_in] = 1.0
+        return e
+
+    u = np.zeros((d * n * 2,) * 2, dtype=complex)
+    for i in range(n - 1):
+        u += np.kron(np.kron(chain.unitaries[i], hop(i + 1, i)), abit(1, 1))
+    for i in range(1, n):
+        u += np.kron(np.kron(chain.unitaries[i - 1].conj().T, hop(i - 1, i)), abit(0, 0))
+    u += np.kron(np.kron(eye_d, hop(n - 1, n - 1)), abit(0, 1))
+    u += np.kron(np.kron(eye_d, hop(0, 0)), abit(1, 0))
+    return u
+
+
+def kron_generalized(spec, k):
+    """Reference: the generalized dilation's level labelling and its kron-sum
+    assembly; returns (matrix, ancilla weights)."""
+    n, d = spec.n_nodes, spec.walker_dim
+    per_node = {i: [] for i in range(n)}
+    for (i, j), b in spec.jumps.items():
+        if np.abs(b).max() > 0.0:
+            w, unit = dilation._scaled_unitary_decomposition(b)
+            per_node[i].append((w, j, unit))
+    for i in range(n):
+        per_node[i].sort(key=lambda t: (-t[0], t[1]))
+    taken = {j: set() for j in range(n)}
+    out_level = {}
+    for lvl, i, j in sorted((lvl, i, j) for i in range(n)
+                            for lvl, (_, j, _) in enumerate(per_node[i])):
+        slot = lvl
+        while slot in taken[j]:
+            slot = (slot + 1) % k
+        taken[j].add(slot)
+        out_level[(i, lvl)] = slot
+    u = np.zeros((d * n * k,) * 2, dtype=complex)
+    for i in range(n):
+        for lvl, (_, j, uij) in enumerate(per_node[i]):
+            hop = np.zeros((n, n), dtype=complex)
+            hop[j, i] = 1.0
+            lev = np.zeros((k, k), dtype=complex)
+            lev[out_level[(i, lvl)], lvl] = 1.0
+            u += np.kron(np.kron(uij, hop), lev)
+    return u, tuple(t[0] for t in per_node[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 33, 64])
+def test_u_loc_blocks_equal_kron_sum(n):
+    rng = np.random.default_rng(200 + n)
+    for d in (1, 2, 3, 4):
+        unitaries = [haar_unitary(d, rng) for _ in range(n - 1)]
+        # neither construction reads omega, so one reference serves all four
+        reference = kron_u_loc(core.LinearChainSpec(n, 0.5, unitaries))
+        for omega in (0.0, 0.5, 0.7, 1.0):
+            chain = core.LinearChainSpec(n, omega, unitaries)
+            assert np.array_equal(dilation.build_u_loc(chain).matrix, reference)
+
+
+def regular_spec(rng, n, weights, dim=2):
+    """len(weights)-regular circulant walk: node i jumps to i + s (mod n)."""
+    return core.OqwSpec(n, dim, {(i, (i + s) % n): np.sqrt(w) * haar_unitary(dim, rng)
+                                 for i in range(n) for s, w in enumerate(weights, start=1)})
+
+
+def generalized_specs():
+    rng = np.random.default_rng(300)
+    for n in (2, 3, 4, 5, 8, 16, 33):
+        for d in (1, 2, 3):
+            for omega in (0.5, 0.7):
+                spec = core.chain_to_spec(random_chain(n, omega, rng, d))
+                yield pytest.param(spec, 2, id=f"chain-{n}-{d}-{omega}")
+    for n in (4, 5, 7):
+        for weights in ((0.5, 0.3, 0.2), (1 / 3,) * 3, (0.4, 0.4, 0.2)):
+            yield pytest.param(regular_spec(rng, n, weights), 3,
+                               id=f"circulant-{n}-" + "-".join(f"{w:.2f}" for w in weights))
+    for n in (3, 4, 5):
+        weights = np.arange(n, 0, -1) / (n * (n + 1) / 2)
+        yield pytest.param(regular_spec(rng, n, weights), n, id=f"complete-{n}")
+
+
+@pytest.mark.parametrize("spec, k", generalized_specs())
+def test_generalized_blocks_equal_kron_sum(spec, k):
+    gen = dilation.build_generalized(spec, k)
+    matrix, weights = kron_generalized(spec, k)
+    assert np.array_equal(gen.matrix, matrix)
+    assert gen.ancilla_weights == weights
+
+
+def test_dense_cap_refuses_before_allocating():
+    n = dilation.MAX_DENSE_DIM // 4 + 1
+    chain = core.LinearChainSpec(n, 0.6, [np.eye(2)] * (n - 1))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=f"dimension {4 * n} exceeds the dense cap "
+                                             f"{dilation.MAX_DENSE_DIM}"):
+            dilation.build_u_loc(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < (4 * n) ** 2  # a 16 bytes/entry matrix was never allocated
+
+
+def test_verify_over_the_cap_fails_cleanly(capsys):
+    n = dilation.MAX_DENSE_DIM // 4 + 1
+    start = time.perf_counter()
+    code = main(["verify", "--N", str(n)])
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (f"failure: dilation dimension {4 * n} exceeds the dense cap "
+                            f"{dilation.MAX_DENSE_DIM}\n")
 
 
 # --- resource accounting --------------------------------------------------------
