@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,8 @@ class OqwSpec:
     """Walk specification: node count, walker dimension, jump operators.
 
     ``jumps`` maps (source, target) to the jump operator for that edge;
-    absent pairs are zero operators (omitted edges).
+    absent pairs are zero operators (omitted edges). Stepping compiles the
+    edges at first use and keeps them, so ``jumps`` must not change after.
     """
 
     n_nodes: int
@@ -50,17 +52,62 @@ class OqwSpec:
     def jump(self, i: int, j: int) -> np.ndarray:
         return self.jumps.get((i, j), np.zeros((self.walker_dim,) * 2, dtype=complex))
 
+    @cached_property
+    def _compiled(self) -> tuple:
+        """The edges compiled once for ``evolve``, grouped by arrival rank.
+
+        An edge has rank r when it is the r-th edge into its target, counting
+        in the insertion order of ``jumps``. Nodes are relabelled by
+        descending in-degree, ``position[node]``, so the targets of rank r
+        are exactly positions 0..n_r-1. Returns (position, sources, B, B†,
+        ranks): the stacked (E, d, d) operators and their sources' positions
+        list rank 0's edges in target order, then rank 1's, and so on;
+        ``ranks`` holds each rank's (start, stop) in that list. Adding the
+        ranks in order sums each target's terms in ``jumps`` order.
+        """
+        arrivals: dict = {}
+        for (i, j), b in self.jumps.items():
+            arrivals.setdefault(j, []).append((i, asmatrix(b)))
+        order = sorted(arrivals, key=lambda j: len(arrivals[j]), reverse=True)
+        order += [j for j in range(self.n_nodes) if j not in arrivals]
+        position = [0] * self.n_nodes
+        for k, j in enumerate(order):
+            position[j] = k
+        edges, ranks = [], []
+        for r in range(max(map(len, arrivals.values()))):
+            targets = [j for j in order if len(arrivals.get(j, ())) > r]
+            ranks.append((len(edges), len(edges) + len(targets)))
+            edges += [arrivals[j][r] for j in targets]
+        ops = np.array([b for _, b in edges], dtype=complex)
+        sources = np.array([position[i] for i, _ in edges], dtype=np.intp)
+        return position, sources, ops, ops.conj().transpose(0, 2, 1), tuple(ranks)
+
 
 @dataclass
 class DiagonalState:
     """Diagonal-form state: one unnormalized PSD block per node.
 
-    Blocks missing from the map are zero. Total trace should be 1 for a
-    normalized state.
+    Blocks missing from the map are zero. Keys are nodes 0..n_nodes-1 and
+    all blocks are square of one size, checked at construction. Total trace
+    should be 1 for a normalized state.
     """
 
     n_nodes: int
     blocks: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        first = None
+        for i, b in self.blocks.items():
+            if not isinstance(i, (int, np.integer)) or not 0 <= i < self.n_nodes:
+                raise ValueError(f"block key {i!r} is not a node in 0..{self.n_nodes - 1}")
+            shape = np.shape(b)
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"block {i} has shape {shape}, expected a square matrix")
+            if first is None:
+                first = (i, shape)
+            elif shape != first[1]:
+                raise ValueError(f"block {i} has shape {shape}, but block {first[0]} "
+                                 f"has shape {first[1]}")
 
     def block(self, i: int) -> np.ndarray:
         if i in self.blocks:
@@ -182,36 +229,45 @@ def validate(spec: OqwSpec, tol: float = CONSTRUCTION_TOL) -> list:
 
 
 def step(spec: OqwSpec, state: DiagonalState) -> DiagonalState:
-    """One walk step: rho'_j = sum_i B_i^j rho_i B_i^j†.
+    """One walk step: rho'_j = sum_i B_i^j rho_i B_i^j†; ``evolve(spec, state, 1)``.
 
     Total trace is preserved (to roundoff) whenever the spec satisfies the
     completeness condition.
     """
-    if state.n_nodes != spec.n_nodes:
-        raise ValueError(f"state has {state.n_nodes} nodes, spec has {spec.n_nodes}")
-    if state.walker_dim != spec.walker_dim:
-        raise ValueError(f"state walker dim {state.walker_dim} != spec dim {spec.walker_dim}")
-    out: dict = {}
-    for (i, j), b in spec.jumps.items():
-        rho_i = state.blocks.get(i)
-        if rho_i is None:
-            continue
-        b = asmatrix(b)
-        contrib = b @ rho_i @ b.conj().T
-        if j in out:
-            out[j] += contrib
-        else:
-            out[j] = contrib
-    return DiagonalState(spec.n_nodes, out)
+    return evolve(spec, state, 1)
 
 
 def evolve(spec: OqwSpec, state: DiagonalState, n: int) -> DiagonalState:
-    """n-fold composition of ``step``; n = 0 returns the input unchanged."""
+    """n walk steps; n = 0 returns the input unchanged.
+
+    The blocks are copied once into an (N, d, d) array, absent nodes as
+    zeros. Each step forms every edge's B rho B† in one batched product and
+    adds the products into zeros rank by rank (``OqwSpec._compiled``), so
+    each node's terms are summed in ``jumps`` order. The result holds every
+    node's block, +0.0 where nothing arrived, or no block when the spec has
+    no edges.
+    """
     if n < 0:
         raise ValueError("step count must be non-negative")
+    if n == 0:
+        return state
+    if state.n_nodes != spec.n_nodes:
+        raise ValueError(f"state has {state.n_nodes} nodes, spec has {spec.n_nodes}")
+    d = state.walker_dim
+    if d != spec.walker_dim:
+        raise ValueError(f"state walker dim {d} != spec dim {spec.walker_dim}")
+    if not spec.jumps:
+        return DiagonalState(spec.n_nodes, {})
+    position, sources, ops, ops_dag, ranks = spec._compiled
+    x = np.zeros((spec.n_nodes, d, d), dtype=complex)
+    for i, b in state.blocks.items():
+        x[position[i]] = b
     for _ in range(n):
-        state = step(spec, state)
-    return state
+        terms = ops @ x.take(sources, axis=0) @ ops_dag
+        x = np.zeros(x.shape, dtype=complex)
+        for start, stop in ranks:
+            x[:stop - start] += terms[start:stop]
+    return DiagonalState(spec.n_nodes, {i: x[k] for i, k in enumerate(position)})
 
 
 def node_distribution(state: DiagonalState) -> list:

@@ -271,3 +271,85 @@ def test_chain_jumps_skip_the_unitarity_check():
     assert [node for node, _ in core.validate(spec)] == [0, 1]
     with pytest.raises(ValueError, match="not unitary"):
         core.LinearChainSpec(2, 0.6, [broken])
+
+
+# --- state construction checks ----------------------------------------------
+
+@pytest.mark.parametrize("node", [3, 5, -1])
+def test_pure_state_rejects_a_node_outside_the_walk(node):
+    with pytest.raises(ValueError, match=f"block key {node} is not a node in 0..2"):
+        core.DiagonalState.pure([1, 0], node, 3)
+
+
+@pytest.mark.parametrize("key", ["0", 1.0, None])
+def test_state_rejects_keys_that_are_not_ints(key):
+    with pytest.raises(ValueError, match="is not a node in 0..2"):
+        core.DiagonalState(3, {key: np.eye(2, dtype=complex) / 2})
+
+
+def test_state_accepts_numpy_integer_keys():
+    state = core.DiagonalState(2, {np.int64(1): np.eye(2, dtype=complex) / 2})
+    assert core.node_distribution(state) == [0.0, 1.0]
+
+
+def test_state_rejects_blocks_of_mixed_sizes():
+    blocks = {0: np.eye(2, dtype=complex) / 4, 2: np.eye(3, dtype=complex) / 4}
+    with pytest.raises(ValueError, match=r"block 2 has shape \(3, 3\), but block 0 "
+                                         r"has shape \(2, 2\)"):
+        core.DiagonalState(3, blocks)
+
+
+@pytest.mark.parametrize("block", [np.ones((2, 3)), np.ones(2), np.ones((2, 2, 2))],
+                         ids=["non-square", "vector", "three-axes"])
+def test_state_rejects_blocks_that_are_not_square_matrices(block):
+    with pytest.raises(ValueError, match="block 1 has shape .* expected a square matrix"):
+        core.DiagonalState(2, {0: np.eye(2), 1: block})
+
+
+# --- kernel edge cases -------------------------------------------------------
+
+def test_step_mismatch_messages():
+    rng = np.random.default_rng(14)
+    spec = core.chain_to_spec(random_chain(3, 0.5, rng))
+    with pytest.raises(ValueError, match="^state has 2 nodes, spec has 3$"):
+        core.step(spec, random_diagonal_state(2, 2, rng))
+    with pytest.raises(ValueError, match=r"^state walker dim 3 != spec dim 2$"):
+        core.evolve(spec, random_diagonal_state(3, 3, rng), 4)
+
+
+def test_spec_without_edges_returns_an_empty_state():
+    spec = core.OqwSpec(3, 2, {})
+    state = core.DiagonalState.pure([1, 0], 1, 3)
+    assert core.step(spec, state).blocks == {}
+    out = core.evolve(spec, state, 3)
+    assert out.n_nodes == 3 and out.blocks == {}
+
+
+def test_source_without_outgoing_edges_loses_its_mass():
+    eye = np.eye(2, dtype=complex)
+    spec = core.OqwSpec(3, 2, {(0, 1): eye, (1, 2): eye})
+    state = core.DiagonalState(3, {0: 0.25 * eye, 2: 0.25 * eye})
+    out = core.step(spec, state)
+    assert core.node_distribution(out) == [0.0, 0.5, 0.0]
+    assert core.node_distribution(core.step(spec, out)) == [0.0, 0.0, 0.5]
+
+
+def test_evolve_returns_every_node_with_positive_zeros():
+    # from node 0 one step reaches nodes 0 and 1 only; the others hold
+    # blocks of +0.0, never -0.0, so their probabilities print as 0.0
+    rng = np.random.default_rng(15)
+    for omega in (0.6, 1.0):
+        spec = core.chain_to_spec(random_chain(6, omega, rng))
+        out = core.step(spec, core.DiagonalState.pure(random_pure_state(2, rng), 0, 6))
+        assert list(out.blocks) == list(range(6))
+        for i in range(2, 6):
+            block = out.block(i)
+            assert not block.any()
+            assert not np.signbit(block.view(float)).any()
+
+
+def test_evolve_from_a_node_outside_the_walk_fails_before_stepping():
+    rng = np.random.default_rng(16)
+    spec = core.chain_to_spec(random_chain(4, 0.6, rng))
+    with pytest.raises(ValueError, match="block key -1 is not a node"):
+        core.evolve(spec, core.DiagonalState.pure([1, 0], -1, 4), 2)

@@ -1,7 +1,9 @@
 """Property tests over random chains: the birth-death kernel against its
-matrix and against exact block evolution, the dense <-> diagonal
-boundary shared by the dilation and circuit routes, and the agreement of
-the exact, dilation and circuit steps."""
+matrix and against exact block evolution, the walk kernel against the
+per-edge loop it replaced, trace and positivity under evolution, the
+dense <-> diagonal boundary shared by the dilation and circuit routes,
+the agreement of the exact, dilation and circuit steps, and the analytic
+against the iterated channel limit."""
 
 import numpy as np
 import pytest
@@ -10,8 +12,14 @@ from hypothesis import strategies as st
 
 from oqwalk import circuit, core, dilation
 from oqwalk.analysis import ChainParams, iterate_master, master_step, transition_matrix
-from oqwalk.channels import coefficient_evolution
-from oqwalk.matrixkit import haar_unitary, random_density, random_pure_state, trace_distance
+from oqwalk.channels import coefficient_evolution, embed_random_unitary, limit_state
+from oqwalk.matrixkit import (
+    asmatrix,
+    haar_unitary,
+    random_density,
+    random_pure_state,
+    trace_distance,
+)
 
 sizes = st.integers(min_value=2, max_value=40)
 omegas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -144,3 +152,118 @@ def test_step_equals_dilation_equals_circuit(n, omega, d, steps, data):
         for i in range(n):
             assert trace_distance(direct.block(i), via_dil.block(i)) <= 1e-10
             assert trace_distance(direct.block(i), via_circ.block(i)) <= 1e-10
+
+
+# --- the walk kernel ---------------------------------------------------------
+
+def loop_step(spec, state):
+    """The per-edge loop that the batched ``core.evolve`` kernel replaced."""
+    out = {}
+    for (i, j), b in spec.jumps.items():
+        rho_i = state.blocks.get(i)
+        if rho_i is None:
+            continue
+        b = asmatrix(b)
+        contrib = b @ rho_i @ b.conj().T
+        if j in out:
+            out[j] += contrib
+        else:
+            out[j] = contrib
+    return core.DiagonalState(spec.n_nodes, out)
+
+
+def complete_kraus_spec(rng, n, d):
+    """Complete graph, every node's jumps the blocks of a random isometry in a
+    random target order: in-degree n, each arrival order shuffled."""
+    jumps = {}
+    for i in range(n):
+        iso = haar_unitary(n * d, rng)[:, :d]
+        for t, j in enumerate(rng.permutation(n)):
+            jumps[(i, int(j))] = iso[t * d:(t + 1) * d, :]
+    return core.OqwSpec(n, d, jumps)
+
+
+def circulant_spec(rng, n, d, weights=(0.5, 0.3, 0.2)):
+    """3-regular circulant walk: node i jumps to i + s (mod n), scaled unitaries."""
+    return core.OqwSpec(n, d, {(i, (i + s) % n): np.sqrt(w) * haar_unitary(d, rng)
+                               for i in range(n) for s, w in enumerate(weights, start=1)})
+
+
+def start_state(rng, n, d, pure):
+    if pure:
+        return core.DiagonalState.pure(random_pure_state(d, rng), int(rng.integers(n)), n)
+    return random_state(rng, n, d)
+
+
+def assert_matches_loop(spec, state, steps):
+    expected = state
+    for _ in range(steps):
+        expected = loop_step(spec, expected)
+    out = core.evolve(spec, state, steps)
+    for i in range(spec.n_nodes):
+        assert np.array_equal(out.block(i), expected.block(i))
+    # the loop assigned each target's first term, so an exactly-zero term (a
+    # zero jump at omega = 1) could leave -0.0; the kernel adds into +0.0
+    assert repr(core.node_distribution(out)) == repr(
+        [p + 0.0 for p in core.node_distribution(expected)])
+
+
+@FEW
+@given(n=st.integers(2, 64), omega=omegas, d=st.sampled_from([1, 2, 3, 4]),
+       pure=st.booleans(), steps=st.integers(1, 60), seed=seeds)
+def test_evolve_equals_edge_loop_bitwise_on_chains(n, omega, d, pure, steps, seed):
+    rng = np.random.default_rng(seed)
+    chain = core.LinearChainSpec(n, omega, [haar_unitary(d, rng) for _ in range(n - 1)])
+    assert_matches_loop(core.chain_to_spec(chain), start_state(rng, n, d, pure), steps)
+
+
+@FEW
+@given(kind=st.sampled_from(["complete", "circulant"]), n=st.integers(5, 9),
+       d=st.sampled_from([1, 2, 3]), pure=st.booleans(), steps=st.integers(1, 30),
+       seed=seeds)
+def test_evolve_equals_edge_loop_bitwise_on_generic_specs(kind, n, d, pure, steps, seed):
+    rng = np.random.default_rng(seed)
+    spec = (complete_kraus_spec if kind == "complete" else circulant_spec)(rng, n, d)
+    assert_matches_loop(spec, start_state(rng, n, d, pure), steps)
+
+
+def assert_trace_and_positivity(spec, state, steps):
+    for _ in range(steps):
+        state = core.evolve(spec, state, 1)
+        assert abs(state.total_trace() - 1.0) <= 1e-12
+        for block in state.blocks.values():
+            assert np.linalg.eigvalsh((block + block.conj().T) / 2).min() >= -1e-10
+
+
+@FEW
+@given(n=sizes, omega=omegas, d=st.sampled_from([2, 3]), pure=st.booleans(),
+       steps=st.integers(1, 40), seed=seeds)
+def test_evolve_preserves_trace_and_positivity_on_chains(n, omega, d, pure, steps, seed):
+    rng = np.random.default_rng(seed)
+    chain = core.LinearChainSpec(n, omega, [haar_unitary(d, rng) for _ in range(n - 1)])
+    assert_trace_and_positivity(core.chain_to_spec(chain), start_state(rng, n, d, pure), steps)
+
+
+@FEW
+@given(n=st.integers(5, 9), d=st.sampled_from([1, 2, 3]), pure=st.booleans(),
+       steps=st.integers(1, 40), seed=seeds)
+def test_evolve_preserves_trace_and_positivity_on_generic_specs(n, d, pure, steps, seed):
+    rng = np.random.default_rng(seed)
+    assert_trace_and_positivity(complete_kraus_spec(rng, n, d),
+                                start_state(rng, n, d, pure), steps)
+
+
+# --- channel limits ----------------------------------------------------------
+
+@FEW
+@given(pairs=st.integers(1, 6), d=st.sampled_from([2, 3]), seed=seeds)
+def test_analytic_limit_equals_iterated_limit(pairs, d, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(pairs))
+    real = embed_random_unitary([(q, haar_unitary(d, rng)) for q in weights],
+                                random_density(d, rng))
+    analytic = limit_state(real, mode="analytic")
+    # the stopping settings of `oqw channel`: iteration stops once steps move
+    # the state by less than tol, which leaves it up to ~5 tol from the limit
+    iterated = limit_state(real, mode="iterate", max_steps=2000, tol=1e-12)
+    assert trace_distance(analytic, iterated) <= 1e-10
