@@ -198,11 +198,13 @@ def kolmogorov_distance(p, q) -> float:
 
 
 def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx, ly = np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float))
-    if lx.size < 2:
+    """Least-squares slope of log(y) against log(x); every value must be positive."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if x.size < 2:
         raise ValueError("need at least two points to fit a slope")
-    return float(np.polyfit(lx, ly, 1)[0])
+    if not (np.all(x > 0) and np.all(y > 0)):
+        raise ValueError("a log-log fit needs positive x and y values")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 def distribution_csv(dist) -> str:

@@ -256,12 +256,7 @@ def build_step(chain: core.LinearChainSpec, order: str = "rb-lb") -> Circuit:
     """One walk step: prepare the direction ancilla as a lambda/omega
     mixture (RY then non-selective measurement), then both boundary-
     corrected blocks with a flag reset in between."""
-    lay = _Layout(chain)
-    qa, qap = lay.h + lay.g, lay.h + lay.g + 1
-    c = Circuit({"qH": lay.qh, "qG": lay.qg, "qA": (qa,), "qAp": (qap,)},
-                _step_gates(lay, qa, qap, chain.omega, order))
-    c.validate()
-    return c
+    return build_walk(chain, 1, order=order)
 
 
 def build_walk(chain: core.LinearChainSpec, n: int, ancilla_policy: str = "reuse",
@@ -272,6 +267,10 @@ def build_walk(chain: core.LinearChainSpec, n: int, ancilla_policy: str = "reuse
     h + g + 2n qubits total; ``reuse`` keeps a single pair and resets it
     after every step. The two policies produce identical simulated states
     because each pair is traced as soon as its step is over.
+
+    A step's gates are built once per ancilla pair, so under ``reuse`` every
+    step is the same list of frozen ``Gate`` objects, repeated. Right-move
+    ``u`` gates also share the chain's unitary arrays whenever d = 2^h.
     """
     if n < 0:
         raise ValueError("step count must be non-negative")
@@ -280,17 +279,15 @@ def build_walk(chain: core.LinearChainSpec, n: int, ancilla_policy: str = "reuse
     if ancilla_policy == "fresh":
         qa_reg = tuple(range(base, base + n))
         qap_reg = tuple(range(base + n, base + 2 * n))
-        pairs = list(zip(qa_reg, qap_reg))
+        gates = [gate for qa, qap in zip(qa_reg, qap_reg)
+                 for gate in _step_gates(lay, qa, qap, chain.omega, order)]
     elif ancilla_policy == "reuse":
         qa_reg, qap_reg = (base,), (base + 1,)
-        pairs = [(base, base + 1)] * n
+        step = _step_gates(lay, base, base + 1, chain.omega, order) if n else []
+        resets = [Gate("reset", qa_reg), Gate("reset", qap_reg)]
+        gates = (step + resets) * max(n - 1, 0) + step
     else:
         raise ValueError(f"unknown ancilla policy {ancilla_policy!r}")
-    gates = []
-    for k, (qa, qap) in enumerate(pairs):
-        gates += _step_gates(lay, qa, qap, chain.omega, order)
-        if ancilla_policy == "reuse" and k < n - 1:
-            gates += [Gate("reset", (qa,)), Gate("reset", (qap,))]
     c = Circuit({"qH": lay.qh, "qG": lay.qg, "qA": qa_reg, "qAp": qap_reg}, gates)
     c.validate()
     return c

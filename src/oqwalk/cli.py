@@ -131,7 +131,7 @@ def cmd_channel(args) -> str:
         raise UsageError(f"unknown channel {args.name!r} "
                          "(expected dephasing or depolarizing)")
     try:
-        iterated, steps = channels.iterate_limit(real, max_steps=2000, tol=1e-12)
+        iterated, steps = channels.iterate_limit(real)
     except RuntimeError as exc:
         raise NumericError(str(exc)) from exc
     dist = trace_distance(iterated, real.analytic_limit)
@@ -202,11 +202,13 @@ def cmd_verify(args) -> str:
     initial = core.DiagonalState.pure(psi, 0, chain.n_nodes)
 
     dil = dilation.build_u_loc(chain)
-    step_circ = circuit.build_walk(chain, 1, "reuse")
+    step_circ = circuit.build_step(chain)
     direct, via_dil, via_circ = initial, initial, initial
-    per_step = []
+    per_step, first_two = [], []
     for k in range(1, steps + 1):
         direct = core.step(spec, direct)
+        if k <= 2:
+            first_two.append(direct)
         via_dil = dilation.step_via_dilation(dil, via_dil, chain.omega)
         via_circ = circuit.simulate_density(step_circ, via_circ, chain.omega)
         d_dil = max(trace_distance(direct.block(i), via_dil.block(i))
@@ -222,8 +224,7 @@ def cmd_verify(args) -> str:
               "max_circuit_distance": worst_circ,
               "per_step": per_step}
     if chain.n_nodes == 2 and steps >= 2:
-        one = core.evolve(spec, initial, 1)
-        two = core.step(spec, one)
+        one, two = first_two
         report["stabilization_delta"] = max(
             trace_distance(one.block(i), two.block(i)) for i in range(2))
     text = json.dumps(report, indent=1) + "\n"
@@ -302,8 +303,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # verify compares at least one step; the Gaussian profile needs n >= 1
-    least_steps = 1 if args.command in ("verify", "profile") else 0
+    # verify compares at least one step; the Gaussian profile needs n >= 1;
+    # resources fits log-log slopes, and a zero-step walk costs nothing
+    least_steps = 1 if args.command in ("verify", "profile", "resources") else 0
     try:
         if args.dH < 1:
             raise UsageError(f"--dH must be at least 1, got {args.dH}")

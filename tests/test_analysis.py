@@ -211,6 +211,17 @@ def test_fit_loglog_slope_exact_power_law():
     assert abs(fit_loglog_slope(xs, 0.2 * xs ** 2) - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([4, 8, 16, 32], [0, 0, 0, 0]),
+    ([4, 8, 16, 32], [1.0, -2.0, 3.0, 4.0]),
+    ([0, 8, 16, 32], [1.0, 2.0, 3.0, 4.0]),
+    ([4, 8, 16, 32], [1.0, float("nan"), 3.0, 4.0]),
+], ids=["zero-costs", "negative-y", "zero-x", "nan-y"])
+def test_fit_loglog_slope_rejects_non_positive_values(xs, ys):
+    with pytest.raises(ValueError, match="needs positive x and y values"):
+        fit_loglog_slope(xs, ys)
+
+
 def test_gaussian_window_against_master_iteration():
     """In the drift window the profile tracks the iterated distribution:
     small sup-CDF gap. The pointwise comparison carries the lattice's

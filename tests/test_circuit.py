@@ -230,6 +230,72 @@ def test_step_orders_agree_and_match_direct():
                               results["lb-rb"].block(i)) <= 1e-12
 
 
+# --- walk assembly -----------------------------------------------------------
+
+def reference_walk(chain, n, ancilla_policy, order):
+    """The former assembly loop: every step's gates are built anew."""
+    lay = circuit._Layout(chain)
+    base = lay.h + lay.g
+    if ancilla_policy == "fresh":
+        qa_reg = tuple(range(base, base + n))
+        qap_reg = tuple(range(base + n, base + 2 * n))
+        pairs = list(zip(qa_reg, qap_reg))
+    else:
+        qa_reg, qap_reg = (base,), (base + 1,)
+        pairs = [(base, base + 1)] * n
+    gates = []
+    for k, (qa, qap) in enumerate(pairs):
+        gates += circuit._step_gates(lay, qa, qap, chain.omega, order)
+        if ancilla_policy == "reuse" and k < n - 1:
+            gates += [Gate("reset", (qa,)), Gate("reset", (qap,))]
+    return Circuit({"qH": lay.qh, "qG": lay.qg, "qA": qa_reg, "qAp": qap_reg}, gates)
+
+
+def assert_same_circuit(got, want):
+    assert got.registers == want.registers
+    assert len(got.gates) == len(want.gates)
+    for a, b in zip(got.gates, want.gates):
+        assert (a.kind, a.targets, a.controls, a.angle, a.label) == \
+            (b.kind, b.targets, b.controls, b.angle, b.label)
+        assert (a.matrix is None) == (b.matrix is None)
+        assert a.matrix is None or np.array_equal(a.matrix, b.matrix)
+    assert circuit.circuit_to_qasm(got) == circuit.circuit_to_qasm(want)
+    assert circuit.circuit_to_json(got) == circuit.circuit_to_json(want)
+    for model in circuit.COST_MODELS:
+        assert circuit.cost_estimate(got, model) == circuit.cost_estimate(want, model)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_nodes", [2, 3, 4, 5, 8, 16, 33])
+def test_walk_equals_per_step_assembly(n_nodes, d):
+    chain = random_chain(n_nodes, 0.7, np.random.default_rng(100 * n_nodes + d), dim=d)
+    for order in ("rb-lb", "lb-rb"):
+        for policy in ("reuse", "fresh"):
+            for n in (0, 1, 2, 5):
+                assert_same_circuit(circuit.build_walk(chain, n, policy, order),
+                                    reference_walk(chain, n, policy, order))
+        assert_same_circuit(circuit.build_step(chain, order),
+                            reference_walk(chain, 1, "reuse", order))
+
+
+def test_walk_builds_each_step_once_per_ancilla_pair(monkeypatch):
+    pairs = []
+    step_gates = circuit._step_gates
+
+    def counted(lay, qa, qap, omega, order):
+        pairs.append((qa, qap))
+        return step_gates(lay, qa, qap, omega, order)
+
+    monkeypatch.setattr(circuit, "_step_gates", counted)
+    chain = random_chain(5, 0.7, np.random.default_rng(31))
+    # one walker qubit and three node qubits come before the ancillas
+    circuit.build_walk(chain, 7)
+    assert pairs == [(4, 5)]
+    pairs.clear()
+    circuit.build_walk(chain, 7, "fresh")
+    assert pairs == [(4 + k, 11 + k) for k in range(7)]
+
+
 def test_walk_register_sizing():
     rng = np.random.default_rng(11)
     chain = random_chain(4, 0.7, rng)

@@ -229,9 +229,10 @@ def test_spec_file_faults_are_usage_errors(capsys, tmp_path, text, fault):
     (["profile", "--omega", "0.6", "--N", "1"], "--N must be at least 2"),
     (["verify", "--steps", "2", "--N", "1"], "--N must be at least 2"),
     (["resources", "--omega", "0.6", "--N", "1"], "--N must be at least 2"),
+    (["resources", "--N", "4", "--omega", "0.6", "--steps", "0"], "--steps must be at least 1"),
 ], ids=["steady-negative-steps", "profile-negative-steps", "verify-zero-steps",
         "verify-zero-dH", "resources-zero-dH", "steady-one-node", "profile-one-node",
-        "verify-one-node", "resources-one-node"])
+        "verify-one-node", "resources-one-node", "resources-zero-steps"])
 def test_count_options_are_usage_errors(capsys, argv, fault):
     code, out, err = run(capsys, *argv)
     assert code == 2
