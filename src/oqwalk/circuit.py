@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,11 +73,34 @@ class Circuit:
         return [q for qs in self.registers.values() for q in qs]
 
     def validate(self) -> None:
+        """Raise if a gate touches an undeclared qubit. A repeated block of
+        shared gates (see ``_repeats``) is checked once, with the tail after
+        it: that is every distinct gate."""
         declared = set(self.all_qubits())
-        for gate in self.gates:
+        p, k = _repeats(self.gates)
+        for gate in self.gates[:p] + self.gates[p * k:]:
             missing = set(gate.qubits) - declared
             if missing:
                 raise ValueError(f"gate references undeclared qubits {sorted(missing)}")
+
+
+def _repeats(gates: list) -> tuple:
+    """(p, k) when ``gates`` starts with one block of p gates repeated k >= 2
+    times, the same objects each time; (0, 0) otherwise.
+
+    The block is taken to end where the first gate recurs, so a list whose
+    first gate also recurs inside its block reads as not periodic.
+    """
+    ids = list(map(id, gates))
+    try:
+        p = ids.index(ids[0], 1)
+    except (IndexError, ValueError):
+        return 0, 0
+    block = ids[:p]
+    k = 1
+    while ids[k * p:(k + 1) * p] == block:
+        k += 1
+    return (p, k) if k >= 2 else (0, 0)
 
 
 def _ry_matrix(theta: float) -> np.ndarray:
@@ -234,14 +258,14 @@ def build_left_boundary(chain: core.LinearChainSpec) -> Circuit:
     return _block_circuit(chain, _left_boundary_gates, with_qap=True)
 
 
+_STEP_ORDERS = {
+    "rb-lb": (_right_boundary_gates, _left_boundary_gates),
+    "lb-rb": (_left_boundary_gates, _right_boundary_gates),
+}
+
+
 def _step_gates(lay: _Layout, qa: int, qap: int, omega: float, order: str) -> list:
-    blocks = {
-        "rb-lb": (_right_boundary_gates, _left_boundary_gates),
-        "lb-rb": (_left_boundary_gates, _right_boundary_gates),
-    }
-    if order not in blocks:
-        raise ValueError(f"unknown step order {order!r}")
-    first, second = blocks[order]
+    first, second = _STEP_ORDERS[order]
     gates = [Gate("ry", (qa,), angle=rotation_angle(omega)),
              Gate("measure_nonsel", (qa,))]
     gates += first(lay, qa, qap)
@@ -274,6 +298,8 @@ def build_walk(chain: core.LinearChainSpec, n: int, ancilla_policy: str = "reuse
     """
     if n < 0:
         raise ValueError("step count must be non-negative")
+    if order not in _STEP_ORDERS:
+        raise ValueError(f"unknown step order {order!r}")
     lay = _Layout(chain)
     base = lay.h + lay.g
     if ancilla_policy == "fresh":
@@ -443,6 +469,25 @@ def _base_cnot_cost(n_targets: int) -> int:
     return math.ceil((4 ** n_targets - 3 * n_targets - 1) / 4)
 
 
+def _frontier_map(block: list) -> tuple:
+    """The greedy-layer frontier map of a gate block, in max-plus form.
+
+    Returns (qubits, rows): after the block, the layer reached on
+    ``qubits[r]`` is ``max_q(rows[r][q] + before[q])`` over the block's
+    qubits, with -inf where qubit r does not depend on qubit q.
+    """
+    qubits = sorted({q for gate in block for q in gate.qubits})
+    pos = {q: i for i, q in enumerate(qubits)}
+    rows = [[0 if i == j else -math.inf for j in range(len(qubits))]
+            for i in range(len(qubits))]
+    for gate in block:
+        touched = [pos[q] for q in gate.qubits]
+        row = [max(col) + 1 for col in zip(*(rows[i] for i in touched))]
+        for i in touched:
+            rows[i] = row
+    return qubits, rows
+
+
 def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
                   alpha: float = 16.0, beta: float = 0.0) -> tuple:
     """(cnot, depth) under a configurable multi-control decomposition cost.
@@ -453,6 +498,12 @@ def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
     two-qubit unitary). Depth is greedy earliest-slot layering over
     qubit-disjoint gates; measurements and resets occupy a slot but cost
     no CNOTs.
+
+    A repeated block of shared gates at the start of the list (a ``reuse``
+    walk's step and resets, see ``_repeats``) is costed once: each of its
+    gates is priced once, and its effect on the per-qubit layer frontier, a
+    max-plus linear map, is found once and applied once per repeat. The
+    gates after the block are priced and layered one by one.
     """
     if model == "linear-ancilla":
         f = lambda c: alpha * c + beta
@@ -460,39 +511,76 @@ def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
         f = lambda c: alpha * c * c
     else:
         raise ValueError(f"unknown cost model {model!r}, expected one of {COST_MODELS}")
-    cnot = 0.0
-    depth_by_qubit: dict = {}
-    deepest = 0
-    for gate in circuit.gates:
-        if gate.kind not in ("measure_nonsel", "reset"):
-            c = len(gate.controls)
-            cnot += (f(c) if c else 0.0) + _base_cnot_cost(len(gate.targets))
+
+    def gate_cnots(gate):
+        if gate.kind in ("measure_nonsel", "reset"):
+            return 0.0
+        c = len(gate.controls)
+        return (f(c) if c else 0.0) + _base_cnot_cost(len(gate.targets))
+
+    p, k = _repeats(circuit.gates)
+    block = circuit.gates[:p]
+    block_cnots = np.array([gate_cnots(gate) for gate in block], dtype=float)
+    qubits, rows = _frontier_map(block)
+    layers = [0] * len(qubits)
+    for _ in range(k):
+        layers = [max(map(operator.add, row, layers)) for row in rows]
+    depth_by_qubit = dict(zip(qubits, layers))
+    tail_cnots = []
+    for gate in circuit.gates[p * k:]:
+        tail_cnots.append(gate_cnots(gate))
         layer = 1 + max((depth_by_qubit.get(q, 0) for q in gate.qubits), default=0)
         for q in gate.qubits:
             depth_by_qubit[q] = layer
-        deepest = max(deepest, layer)
-    return int(round(cnot)), deepest
+    # a running total in gate order, as one float: a non-integer alpha or
+    # beta then rounds as the per-gate sum does, which a block sum times k
+    # does not always (it can land on the other side of a .5)
+    cnot = np.cumsum(np.concatenate(([0.0], np.tile(block_cnots, k), tail_cnots)))[-1]
+    # the frontier never decreases, so its maximum is the deepest layer; a
+    # circuit whose gates touch no qubit still has one layer
+    deepest = max(depth_by_qubit.values(), default=1 if circuit.gates else 0)
+    return int(round(float(cnot))), deepest
 
 
 # --- export ------------------------------------------------------------------
 
+def _json_gate_entry(gate: Gate) -> dict:
+    entry = {"kind": gate.kind,
+             "controls": [[q, pol] for q, pol in gate.controls],
+             "targets": list(gate.targets),
+             "params": {}}
+    if gate.kind == "ry":
+        entry["params"]["angle"] = gate.angle
+    if gate.kind == "u":
+        entry["params"]["label"] = gate.label
+        entry["params"]["re"] = gate.matrix.real.tolist()
+        entry["params"]["im"] = gate.matrix.imag.tolist()
+    return entry
+
+
 def circuit_to_json(circuit: Circuit) -> str:
-    """Stable JSON gate list with a register manifest."""
-    gates = []
-    for gate in circuit.gates:
-        entry = {"kind": gate.kind,
-                 "controls": [[q, pol] for q, pol in gate.controls],
-                 "targets": list(gate.targets),
-                 "params": {}}
-        if gate.kind == "ry":
-            entry["params"]["angle"] = gate.angle
-        if gate.kind == "u":
-            entry["params"]["label"] = gate.label
-            entry["params"]["re"] = gate.matrix.real.tolist()
-            entry["params"]["im"] = gate.matrix.imag.tolist()
-        gates.append(entry)
-    return json.dumps({"registers": {name: list(qs) for name, qs in circuit.registers.items()},
-                       "gates": gates}, indent=1)
+    """Stable JSON gate list with a register manifest.
+
+    The text is that of ``json.dumps({"registers": ..., "gates": [...]},
+    indent=1)``. Each distinct gate object is encoded once, and a repeated
+    block of shared gates (see ``_repeats``) is joined once per repeat.
+    """
+    encoded = {}
+
+    def text(gate):
+        # an entry sits two levels deep: inside the document, inside "gates"
+        if id(gate) not in encoded:
+            entry = json.dumps(_json_gate_entry(gate), indent=1)
+            encoded[id(gate)] = "  " + entry.replace("\n", "\n  ")
+        return encoded[id(gate)]
+
+    p, k = _repeats(circuit.gates)
+    entries = [text(g) for g in circuit.gates[:p]] * k + \
+        [text(g) for g in circuit.gates[p * k:]]
+    registers = json.dumps({name: list(qs) for name, qs in circuit.registers.items()},
+                           indent=1).replace("\n", "\n ")
+    gates = "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
+    return '{\n "registers": ' + registers + ',\n "gates": ' + gates + "\n}"
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:

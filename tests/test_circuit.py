@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -317,6 +319,14 @@ def test_walk_zero_steps_empty():
         np.testing.assert_allclose(out.block(i), state.block(i), atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("policy", ["reuse", "fresh"])
+def test_walk_rejects_unknown_order_at_any_step_count(n, policy):
+    chain = random_chain(4, 0.7, np.random.default_rng(12))
+    with pytest.raises(ValueError, match="unknown step order 'bogus'"):
+        circuit.build_walk(chain, n, policy, order="bogus")
+
+
 def test_walk_policies_identical():
     rng = np.random.default_rng(13)
     chain = random_chain(4, 0.58, rng)
@@ -626,6 +636,142 @@ def test_walk_cost_scaling_follows_model():
     assert 1.0 < slope < 1.5
 
 
+def reference_cost(c, model="linear-ancilla", alpha=16.0, beta=0.0):
+    """The per-gate cost loop: every gate is costed and layered in turn."""
+    f = (lambda k: alpha * k + beta) if model == "linear-ancilla" else \
+        (lambda k: alpha * k * k)
+    cnot = 0.0
+    depth_by_qubit = {}
+    deepest = 0
+    for gate in c.gates:
+        if gate.kind not in ("measure_nonsel", "reset"):
+            k = len(gate.controls)
+            cnot += (f(k) if k else 0.0) + circuit._base_cnot_cost(len(gate.targets))
+        layer = 1 + max((depth_by_qubit.get(q, 0) for q in gate.qubits), default=0)
+        for q in gate.qubits:
+            depth_by_qubit[q] = layer
+        deepest = max(deepest, layer)
+    return int(round(cnot)), deepest
+
+
+def reference_json(c):
+    """The per-gate JSON encoder: one entry built per gate, one json.dumps."""
+    gates = []
+    for gate in c.gates:
+        entry = {"kind": gate.kind,
+                 "controls": [[q, pol] for q, pol in gate.controls],
+                 "targets": list(gate.targets),
+                 "params": {}}
+        if gate.kind == "ry":
+            entry["params"]["angle"] = gate.angle
+        if gate.kind == "u":
+            entry["params"]["label"] = gate.label
+            entry["params"]["re"] = gate.matrix.real.tolist()
+            entry["params"]["im"] = gate.matrix.imag.tolist()
+        gates.append(entry)
+    return json.dumps({"registers": {name: list(qs) for name, qs in c.registers.items()},
+                       "gates": gates}, indent=1)
+
+
+COST_PARAMS = [(16.0, 0.0), (2.5, 0.5), (3.3, -1.7)]
+
+
+def assert_cost_and_json_match_reference(c):
+    for model in circuit.COST_MODELS:
+        for alpha, beta in COST_PARAMS:
+            got = circuit.cost_estimate(c, model, alpha, beta)
+            assert got == reference_cost(c, model, alpha, beta)
+            assert type(got[0]) is int and type(got[1]) is int
+    assert circuit.circuit_to_json(c) == reference_json(c)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_nodes", [2, 3, 4, 5, 8, 16, 33])
+def test_walk_cost_and_json_equal_per_gate_references(n_nodes, d):
+    chain = random_chain(n_nodes, 0.7, np.random.default_rng(200 * n_nodes + d), dim=d)
+    for order in ("rb-lb", "lb-rb"):
+        for policy in ("reuse", "fresh"):
+            for n in (0, 1, 2, 5, 9):
+                assert_cost_and_json_match_reference(
+                    circuit.build_walk(chain, n, policy, order))
+
+
+def test_noninteger_cost_rounds_as_the_per_gate_sum():
+    # the exact sum here is 4651.5: the per-gate running sum lands just above
+    # it, a block sum times the repeat count just below
+    chain = random_chain(16, 0.7, np.random.default_rng(42), dim=3)
+    walk = circuit.build_walk(chain, 7, "reuse", "lb-rb")
+    assert circuit.cost_estimate(walk, "linear-ancilla", 2.7, 0.15) == \
+        reference_cost(walk, "linear-ancilla", 2.7, 0.15) == (4652, 377)
+
+
+def hand_built_gates():
+    rng = np.random.default_rng(40)
+    a = Gate("u", (0, 1), ((2, 1),), matrix=haar_unitary(4, rng), label="A")
+    b = Gate("x", (2,), ((0, 0), (3, 1)))
+    c = Gate("ry", (3,), ((1, 1),), angle=0.25)
+    m = Gate("measure_nonsel", (1,))
+    return a, b, c, m
+
+
+@pytest.mark.parametrize("case", ["first-recurs", "tail", "period-one", "empty",
+                                  "block-with-measure", "no-qubits"])
+def test_hand_built_cost_and_json_equal_per_gate_references(case):
+    a, b, c, m = hand_built_gates()
+    gates, periodic = {
+        "first-recurs": ([a, b, a, c], (0, 0)),
+        "tail": ([a, b] * 3 + [a], (2, 3)),
+        "period-one": ([a] * 5, (1, 5)),
+        "empty": ([], (0, 0)),
+        "block-with-measure": ([c, m, b] * 4 + [a, a, c], (3, 4)),
+        "no-qubits": ([Gate("x", ())] * 3, (1, 3)),
+    }[case]
+    assert circuit._repeats(gates) == periodic
+    assert_cost_and_json_match_reference(Circuit({"q": (0, 1, 2, 3)}, gates))
+
+
+def test_repeats_compares_gates_by_identity():
+    a, b, _, _ = hand_built_gates()
+    twin = Gate(a.kind, a.targets, a.controls, matrix=a.matrix, label=a.label)
+    assert circuit._repeats([a, b, twin, b]) == (0, 0)
+    assert circuit._repeats([a, b, a, b]) == (2, 2)
+    # one repeat is no repetition
+    assert circuit._repeats([a, b, a]) == (0, 0)
+
+
+@pytest.mark.parametrize("where", ["block", "tail"])
+def test_validate_rejects_undeclared_qubit_in_block_or_tail(where):
+    a, b, c, _ = hand_built_gates()
+    bad = Gate("x", (9,), ((0, 1),))
+    gates = [a, bad, b] * 3 + [c] if where == "block" else [a, b] * 3 + [c, bad]
+    assert circuit._repeats(gates)[1] == 3
+    with pytest.raises(ValueError, match=r"undeclared qubits \[9\]"):
+        Circuit({"q": (0, 1, 2, 3)}, gates).validate()
+
+
+def test_walk_cost_work_does_not_grow_with_reused_steps(monkeypatch):
+    calls = []
+    base_cost = circuit._base_cnot_cost
+
+    def counted(n_targets):
+        calls.append(n_targets)
+        return base_cost(n_targets)
+
+    monkeypatch.setattr(circuit, "_base_cnot_cost", counted)
+    chain = random_chain(8, 0.7, np.random.default_rng(41))
+    per_steps = {}
+    for n in (4, 8, 16):
+        walk = circuit.build_walk(chain, n)
+        want = reference_cost(walk)
+        calls.clear()
+        assert circuit.cost_estimate(walk) == want
+        per_steps[n] = len(calls)
+    step_gates = [g for g in circuit.build_step(chain).gates
+                  if g.kind not in ("measure_nonsel", "reset")]
+    # one block (a step and two resets) and one final step
+    assert per_steps == {n: 2 * len(step_gates) for n in (4, 8, 16)}
+
+
 # --- export ----------------------------------------------------------------------
 
 def test_circuit_json_deterministic():
@@ -634,7 +780,6 @@ def test_circuit_json_deterministic():
     walk = circuit.build_walk(chain, 2)
     text1, text2 = circuit.circuit_to_json(walk), circuit.circuit_to_json(walk)
     assert text1 == text2
-    import json
     obj = json.loads(text1)
     assert set(obj["registers"]) == {"qH", "qG", "qA", "qAp"}
     kinds = {g["kind"] for g in obj["gates"]}
