@@ -29,8 +29,11 @@ from .matrixkit import asmatrix
 GATE_KINDS = ("x", "ry", "u", "measure_nonsel", "reset")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
+    """One gate. Gates compare and hash by identity: a ``u`` gate's matrix is
+    an array, so field-wise equality would be ambiguous."""
+
     kind: str
     targets: tuple
     controls: tuple = ()
@@ -91,14 +94,13 @@ def _repeats(gates: list) -> tuple:
     The block is taken to end where the first gate recurs, so a list whose
     first gate also recurs inside its block reads as not periodic.
     """
-    ids = list(map(id, gates))
     try:
-        p = ids.index(ids[0], 1)
+        p = gates.index(gates[0], 1)
     except (IndexError, ValueError):
         return 0, 0
-    block = ids[:p]
+    block = gates[:p]
     k = 1
-    while ids[k * p:(k + 1) * p] == block:
+    while gates[k * p:(k + 1) * p] == block:
         k += 1
     return (p, k) if k >= 2 else (0, 0)
 
@@ -569,10 +571,10 @@ def circuit_to_json(circuit: Circuit) -> str:
 
     def text(gate):
         # an entry sits two levels deep: inside the document, inside "gates"
-        if id(gate) not in encoded:
+        if gate not in encoded:
             entry = json.dumps(_json_gate_entry(gate), indent=1)
-            encoded[id(gate)] = "  " + entry.replace("\n", "\n  ")
-        return encoded[id(gate)]
+            encoded[gate] = "  " + entry.replace("\n", "\n  ")
+        return encoded[gate]
 
     p, k = _repeats(circuit.gates)
     entries = [text(g) for g in circuit.gates[:p]] * k + \

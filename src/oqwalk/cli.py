@@ -12,11 +12,13 @@ Exit codes: 0 success, 1 numeric or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from . import analysis, channels, circuit, core, dilation
 from .matrixkit import haar_unitary, projector, random_pure_state, trace_distance
 
 DEFAULT_TOL = 1e-10
+DEFAULT_DH = 2
 
 
 class UsageError(Exception):
@@ -56,12 +59,6 @@ def _write_out(text: str, out_path: str | None) -> None:
             os.unlink(tmp)
 
 
-def _need(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required for this command")
-
-
 def _resolve_omega(args) -> float:
     if args.omega is not None:
         return args.omega
@@ -84,7 +81,6 @@ def _tolerance() -> float:
 
 
 def cmd_steady(args) -> str:
-    _need(args, "N", "steps")
     params = analysis.ChainParams(args.N, _resolve_omega(args))
     t = analysis.transition_matrix(params)
     start = np.zeros(args.N)
@@ -99,7 +95,6 @@ def cmd_steady(args) -> str:
 
 
 def cmd_profile(args) -> str:
-    _need(args, "N")
     params = analysis.ChainParams(args.N, _resolve_omega(args))
     grid = [args.steps] if args.steps is not None else list(range(100, 501, 50))
     dist = np.zeros(args.N)
@@ -116,7 +111,6 @@ def cmd_profile(args) -> str:
 
 
 def cmd_channel(args) -> str:
-    _need(args, "param")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     if args.seed is not None:
         rho = projector(random_pure_state(2, rng))
@@ -182,14 +176,14 @@ def _chain_from_args(args) -> core.LinearChainSpec:
                                      for node, dev in violations]}
             raise NumericError(json.dumps(report, indent=1))
         return core.LinearChainSpec(n, omega, mats)
-    _need(args, "N")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    dh = args.dH if args.dH is not None else DEFAULT_DH
     if args.omega is None and args.eta is None:
         omega = 2.0 / 3.0
     else:
         omega = _resolve_omega(args)
     return core.LinearChainSpec(args.N, omega,
-                                [haar_unitary(args.dH, rng) for _ in range(args.N - 1)])
+                                [haar_unitary(dh, rng) for _ in range(args.N - 1)])
 
 
 def cmd_verify(args) -> str:
@@ -234,9 +228,8 @@ def cmd_verify(args) -> str:
 
 
 def cmd_resources(args) -> str:
-    _need(args, "N")
     omega = _resolve_omega(args)
-    dh = args.dH
+    dh = args.dH if args.dH is not None else DEFAULT_DH
     params = analysis.ChainParams(args.N, omega)
     steps = args.steps if args.steps is not None else analysis.estimate_steps(
         params, "conservative")
@@ -261,60 +254,99 @@ def cmd_resources(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    reads: frozenset     # option dests the handler reads; no other is accepted
+    needs: tuple = ()    # dests that must be given, checked in this order
+    least_steps: int = 0
+
+
+# every option some subcommand reads: dest -> (flag, add_argument keywords),
+# in --help order
+OPTIONS = {
+    "name": ("name", {"help": "dephasing or depolarizing"}),
+    "spec": ("--spec", {"help": "chain spec JSON file"}),
+    "N": ("--N", {"type": int, "help": "number of nodes / graph size"}),
+    "dH": ("--dH", {"type": int, "help": "walker dimension (default 2)"}),
+    "omega": ("--omega", {"type": float, "help": "rightward jump probability"}),
+    "steps": ("--steps", {"type": int, "help": "step count"}),
+    "eta": ("--eta", {"type": float,
+                      "help": "target success probability; sets omega = 1/(2-eta)"}),
+    "param": ("--param", {"type": float, "help": "channel parameter"}),
+    "seed": ("--seed", {"type": int, "help": "seed for random chains/states"}),
+    "cost_model": ("--cost-model", {"choices": ["linear", "quadratic"],
+                                    "default": "linear"}),
+}
+
+# a --spec file gives the whole chain, so these cannot be given with it
+SPEC_GIVES = ("N", "dH", "omega", "eta")
+
+# verify compares at least one step; the Gaussian profile needs n >= 1;
+# resources fits log-log slopes, and a zero-step walk costs nothing
+COMMANDS = {
+    "steady": Command(cmd_steady, "steady state: power iteration vs closed form (CSV)",
+                      frozenset({"N", "omega", "eta", "steps"}), ("N", "steps")),
+    "profile": Command(cmd_profile, "node occupation vs drift-diffusion profile (CSV)",
+                       frozenset({"N", "omega", "eta", "steps"}), ("N",), least_steps=1),
+    "channel": Command(cmd_channel, "channel realization report (JSON)",
+                       frozenset({"name", "param", "omega", "seed"}), ("param",)),
+    "verify": Command(cmd_verify, "dilation and circuit equivalence report (JSON)",
+                      frozenset({"spec", "N", "dH", "omega", "eta", "steps", "seed"}),
+                      ("N",), least_steps=1),
+    "resources": Command(cmd_resources, "dimension and gate-cost accounting (CSV)",
+                         frozenset({"N", "dH", "omega", "eta", "steps", "cost_model"}),
+                         ("N",), least_steps=1),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``oqw`` parser: each subcommand takes only the options it reads.
+    Built once per process and shared, so callers must not change it;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="oqw",
         description="Linear open-quantum-walk simulation and circuit synthesis.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "steady": "steady state: power iteration vs closed form (CSV)",
-        "profile": "node occupation vs drift-diffusion profile (CSV)",
-        "channel": "channel realization report (JSON)",
-        "verify": "dilation and circuit equivalence report (JSON)",
-        "resources": "dimension and gate-cost accounting (CSV)",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == "channel":
-            p.add_argument("name", help="dephasing or depolarizing")
-        p.add_argument("--spec", help="chain spec JSON file")
-        p.add_argument("--N", type=int, help="number of nodes / graph size")
-        p.add_argument("--dH", type=int, default=2, help="walker dimension (default 2)")
-        p.add_argument("--omega", type=float, help="rightward jump probability")
-        p.add_argument("--steps", type=int, help="step count")
-        p.add_argument("--eta", type=float,
-                       help="target success probability; sets omega = 1/(2-eta)")
-        p.add_argument("--param", type=float, help="channel parameter")
-        p.add_argument("--seed", type=int, help="seed for random chains/states")
-        p.add_argument("--cost-model", choices=["linear", "quadratic"],
-                       default="linear", dest="cost_model")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        bias = p.add_mutually_exclusive_group()   # --omega, or --eta to derive it
+        for dest, (flag, kwargs) in OPTIONS.items():
+            if dest in command.reads:
+                (bias if dest in ("omega", "eta") else p).add_argument(flag, **kwargs)
         p.add_argument("--out", help="output file (written atomically)")
     return parser
 
 
-_HANDLERS = {
-    "steady": cmd_steady,
-    "profile": cmd_profile,
-    "channel": cmd_channel,
-    "verify": cmd_verify,
-    "resources": cmd_resources,
-}
+def _check_options(args) -> None:
+    """Usage errors argparse cannot see: options given with --spec, counts
+    below their floor and missing options, in that order."""
+    command, opts = COMMANDS[args.command], vars(args)
+    spec = opts.get("spec")
+    if spec is not None:
+        for dest in SPEC_GIVES:
+            if opts.get(dest) is not None:
+                raise UsageError(f"{OPTIONS[dest][0]} cannot be given with --spec, "
+                                 "which sets the chain")
+    if opts.get("dH") is not None and opts["dH"] < 1:
+        raise UsageError(f"--dH must be at least 1, got {opts['dH']}")
+    if opts.get("N") is not None and opts["N"] < 2:
+        raise UsageError(f"--N must be at least 2, got {opts['N']}")
+    if opts.get("steps") is not None and opts["steps"] < command.least_steps:
+        scope = " for profile" if args.command == "profile" else ""
+        raise UsageError(f"--steps must be at least {command.least_steps}{scope}, "
+                         f"got {opts['steps']}")
+    for dest in command.needs:
+        if opts[dest] is None and (spec is None or dest not in SPEC_GIVES):
+            raise UsageError(f"{OPTIONS[dest][0]} is required for this command")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # verify compares at least one step; the Gaussian profile needs n >= 1;
-    # resources fits log-log slopes, and a zero-step walk costs nothing
-    least_steps = 1 if args.command in ("verify", "profile", "resources") else 0
     try:
-        if args.dH < 1:
-            raise UsageError(f"--dH must be at least 1, got {args.dH}")
-        if args.N is not None and args.N < 2:
-            raise UsageError(f"--N must be at least 2, got {args.N}")
-        if args.steps is not None and args.steps < least_steps:
-            scope = " for profile" if args.command == "profile" else ""
-            raise UsageError(f"--steps must be at least {least_steps}{scope}, got {args.steps}")
-        _write_out(_HANDLERS[args.command](args), args.out)
+        _check_options(args)
+        _write_out(COMMANDS[args.command].handler(args), args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -739,6 +739,16 @@ def test_repeats_compares_gates_by_identity():
     assert circuit._repeats([a, b, a]) == (0, 0)
 
 
+def test_gates_compare_and_hash_by_identity():
+    a = Gate("u", (0,), matrix=np.eye(2), label="U")
+    twin = Gate("u", (0,), matrix=np.eye(2), label="U")
+    # equal matrices, yet neither == nor `in` compares the arrays
+    assert a == a and not a == twin and a != twin
+    assert twin not in [a] and a in [twin, a]
+    assert hash(a) == hash(a) and hash(twin) == hash(twin)
+    assert {a: 1, twin: 2}[twin] == 2 and len({a, twin, a}) == 2
+
+
 @pytest.mark.parametrize("where", ["block", "tail"])
 def test_validate_rejects_undeclared_qubit_in_block_or_tail(where):
     a, b, c, _ = hand_built_gates()

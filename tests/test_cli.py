@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +316,97 @@ def test_unwritable_out_is_one_failure_line(capsys, tmp_path, target):
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no .oqw-*.tmp left
     assert list((tmp_path / "taken").iterdir()) == []
+
+
+# a valid command per subcommand; each test below adds to one of them
+BASE = {
+    "steady": ["steady", "--N", "3", "--omega", "0.6", "--steps", "2"],
+    "profile": ["profile", "--N", "3", "--omega", "0.6", "--steps", "1"],
+    "channel": ["channel", "dephasing", "--param", "0.3"],
+    "verify": ["verify", "--N", "3", "--steps", "1"],
+    "resources": ["resources", "--N", "4", "--omega", "0.8"],
+}
+
+# the options a subcommand does not read; argparse refuses each of them
+UNREAD = [("steady", opt) for opt in ("--spec", "--dH", "--param", "--seed", "--cost-model")] + \
+    [("profile", opt) for opt in ("--spec", "--dH", "--param", "--seed", "--cost-model")] + \
+    [("channel", opt) for opt in ("--spec", "--N", "--dH", "--steps", "--eta", "--cost-model")] + \
+    [("verify", opt) for opt in ("--param", "--cost-model")] + \
+    [("resources", opt) for opt in ("--spec", "--param", "--seed")]
+
+
+def rejected(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("command, option", UNREAD, ids=[f"{c}{o}" for c, o in UNREAD])
+def test_unread_options_are_rejected(capsys, command, option):
+    value = "linear" if option == "--cost-model" else "3"
+    err = rejected(capsys, BASE[command] + [option, value])
+    assert f"unrecognized arguments: {option} {value}" in err
+
+
+def test_base_commands_run(capsys):
+    for argv in BASE.values():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+
+
+@pytest.mark.parametrize("command", ["steady", "profile", "verify", "resources"])
+def test_omega_and_eta_are_mutually_exclusive(capsys, command):
+    err = rejected(capsys, BASE[command] + ["--omega", "0.7", "--eta", "0.1"])
+    assert "--eta: not allowed with argument --omega" in err
+
+
+@pytest.mark.parametrize("option, value", [("--N", "9"), ("--dH", "3"), ("--omega", "0.95"),
+                                           ("--eta", "0.4")])
+def test_spec_with_a_chain_option_is_usage_error(capsys, tmp_path, option, value):
+    from oqwalk import core
+    path = tmp_path / "chain.json"
+    path.write_text(core.chain_to_json(core.LinearChainSpec(3, 0.7, [np.eye(2)] * 2)))
+    code, out, err = run(capsys, "verify", "--spec", str(path), option, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option} cannot be given with --spec, which sets the chain\n"
+
+
+def test_parser_is_built_once():
+    from oqwalk.cli import build_parser
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("first, then", [
+    (["channel", "depolarizing", "--param", "0.4", "--seed", "3", "--omega", "0.7"],
+     ["channel", "depolarizing", "--param", "0.4"]),
+    (["verify", "--N", "3", "--steps", "2", "--seed", "3", "--omega", "0.7"],
+     ["verify", "--N", "3", "--steps", "2"]),
+    (["resources", "--N", "4", "--omega", "0.7", "--dH", "3", "--cost-model", "quadratic"],
+     ["resources", "--N", "4", "--eta", "0.5"]),
+], ids=["channel", "verify", "resources"])
+def test_options_do_not_leak_between_calls(capsys, first, then):
+    before = run(capsys, *then)
+    assert run(capsys, *first)[0] == 0
+    assert run(capsys, *then) == before
+
+
+def readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", readme, flags=re.M | re.S)
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("oqw ")]
+
+
+def test_readme_has_examples():
+    assert len(readme_commands()) >= 5
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_examples_run(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out
