@@ -1,5 +1,5 @@
-"""Classical predictions for the linear chain: transition matrix, steady
-state, success probability, the sufficiency bound on omega, the
+"""Classical predictions for the linear chain: the birth-death recursion,
+steady state, success probability, the sufficiency bound on omega, the
 drift-diffusion profile, and the step-count estimate.
 
 The chain's occupation probabilities evolve as a classical birth-death
@@ -47,16 +47,6 @@ class ChainParams:
     D = 0.5
 
 
-def transition_matrix(p: ChainParams) -> np.ndarray:
-    """Column-stochastic N x N transition matrix of the chain.
-
-    Column i holds the outgoing probabilities of node i: omega down one row
-    (right jump), lambda up one row (left jump), with lazy self-loops at
-    both boundaries. Every column sums to exactly 1.
-    """
-    return master_step(np.eye(p.n_nodes), p)
-
-
 def steady_state(p: ChainParams) -> np.ndarray:
     """Closed-form stationary distribution x_m = a^m (a-1) / (a^N - 1).
 
@@ -100,45 +90,41 @@ def omega_for_success(eta: float) -> float:
 
 
 def master_step(dist, p: ChainParams) -> np.ndarray:
-    """One step of the birth-death recursion, the one place it is written.
+    """One step of the birth-death recursion: ``iterate_master(dist, p, 1)``."""
+    return iterate_master(dist, p, 1)
+
+
+def iterate_master(dist, p: ChainParams, n_steps: int) -> np.ndarray:
+    """n_steps of the birth-death recursion, the one place it is written.
 
     Interior: P(m) <- omega P(m-1) + lambda P(m+1); the boundaries are lazy:
     node 0 keeps lambda of itself plus lambda of node 1, node N-1 keeps
     omega of itself plus omega of node N-2. Runs along axis 0, so ``dist``
     is a length-N vector or an N x k matrix of columns; ``p`` is anything
     with ``n_nodes``, ``omega`` and ``lam`` (a ``LinearChainSpec`` too).
+
+    Node m's two addends come from fixed source nodes with fixed
+    coefficients, so a step gathers the 2N sources, scales them and adds
+    the two halves, in buffers allocated once. The input is not changed.
     """
-    dist = np.asarray(dist, dtype=float)
+    if n_steps < 0:
+        raise ValueError("step count must be non-negative")
+    x = np.array(dist, dtype=float)
     n, w, lam = p.n_nodes, p.omega, p.lam
-    if dist.ndim not in (1, 2) or dist.shape[0] != n:
-        raise ValueError(f"distribution length {dist.shape} does not match N={n}")
-    out = np.empty_like(dist)
-    out[0] = lam * dist[0] + lam * dist[1]
-    np.multiply(w, dist[:-2], out=out[1:-1])
-    out[1:-1] += lam * dist[2:]
-    out[-1] = w * dist[-2] + w * dist[-1]
-    return out
-
-
-def iterate_master(dist, p: ChainParams, n_steps: int) -> np.ndarray:
-    """Apply ``master_step`` n_steps times."""
-    if n_steps < 0:
-        raise ValueError("step count must be non-negative")
-    dist = np.asarray(dist, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"distribution length {x.shape} does not match N={n}")
+    # the first addend of every node, then the second
+    nodes = np.arange(n)
+    src = np.concatenate(([0], nodes[:-1], nodes[1:], [n - 1]))
+    coef = np.concatenate(([lam], np.full(n - 1, w), np.full(n - 1, lam), [w]))
+    coef = coef.reshape((2 * n,) + (1,) * (x.ndim - 1))
+    terms = np.empty((2 * n,) + x.shape[1:])
+    first, second = terms[:n], terms[n:]
     for _ in range(n_steps):
-        dist = master_step(dist, p)
-    return dist
-
-
-def power_iterate(t: np.ndarray, dist, n_steps: int) -> np.ndarray:
-    """Repeated application of a transition matrix to a distribution. BLAS
-    rounds differently from ``iterate_master``; ``oqw steady`` prints this."""
-    if n_steps < 0:
-        raise ValueError("step count must be non-negative")
-    dist = np.asarray(dist, dtype=float)
-    for _ in range(n_steps):
-        dist = t @ dist
-    return dist
+        x.take(src, axis=0, out=terms, mode="clip")   # in range; "clip" skips a copy
+        np.multiply(coef, terms, out=terms)
+        np.add(first, second, out=x)
+    return x
 
 
 def gaussian_profile(m: float, n: int, p: ChainParams) -> float:

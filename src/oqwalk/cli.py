@@ -82,10 +82,9 @@ def _tolerance() -> float:
 
 def cmd_steady(args) -> str:
     params = analysis.ChainParams(args.N, _resolve_omega(args))
-    t = analysis.transition_matrix(params)
     start = np.zeros(args.N)
     start[0] = 1.0
-    simulated = analysis.power_iterate(t, start, args.steps)
+    simulated = analysis.iterate_master(start, params, args.steps)
     closed = analysis.steady_state(params)
     lines = ["m,simulated,closed_form,abs_diff"]
     for m in range(args.N):
@@ -282,6 +281,10 @@ OPTIONS = {
 # a --spec file gives the whole chain, so these cannot be given with it
 SPEC_GIVES = ("N", "dH", "omega", "eta")
 
+# the interval each probability option must lie in: dest -> (low, high, closing
+# bracket); nan lies in none. Stricter library checks still apply after these.
+RANGES = {"omega": (0.0, 1.0, "]"), "eta": (0.0, 1.0, ")"), "param": (0.0, 1.0, "]")}
+
 # verify compares at least one step; the Gaussian profile needs n >= 1;
 # resources fits log-log slopes, and a zero-step walk costs nothing
 COMMANDS = {
@@ -321,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_options(args) -> None:
     """Usage errors argparse cannot see: options given with --spec, counts
-    below their floor and missing options, in that order."""
+    below their floor, probabilities out of range and missing options, in
+    that order."""
     command, opts = COMMANDS[args.command], vars(args)
     spec = opts.get("spec")
     if spec is not None:
@@ -337,6 +341,11 @@ def _check_options(args) -> None:
         scope = " for profile" if args.command == "profile" else ""
         raise UsageError(f"--steps must be at least {command.least_steps}{scope}, "
                          f"got {opts['steps']}")
+    for dest, (low, high, bracket) in RANGES.items():
+        value = opts.get(dest)
+        if value is not None and not (low <= value < high or bracket == "]" and value == high):
+            raise UsageError(f"{OPTIONS[dest][0]} must be in [{low:g}, {high:g}{bracket}, "
+                             f"got {value}")
     for dest in command.needs:
         if opts[dest] is None and (spec is None or dest not in SPEC_GIVES):
             raise UsageError(f"{OPTIONS[dest][0]} is required for this command")
@@ -350,8 +359,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, ValueError, RuntimeError, OSError, KeyError) as exc:
-        print(f"failure: {exc}", file=sys.stderr)
+    except (NumericError, ValueError, RuntimeError, OSError, KeyError, MemoryError) as exc:
+        print(f"failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

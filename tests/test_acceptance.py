@@ -22,11 +22,9 @@ from oqwalk.analysis import (
     iterate_master,
     kolmogorov_distance,
     omega_for_success,
-    power_iterate,
     steady_state,
     success_probability,
     total_variation,
-    transition_matrix,
 )
 from oqwalk.matrixkit import (
     Z,
@@ -36,6 +34,7 @@ from oqwalk.matrixkit import (
     random_pure_state,
     trace_distance,
 )
+from oracles import power_iterate, transition_matrix
 
 
 def report(number, name, ok, detail):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oqwalk import channels, core
-from oqwalk.analysis import ChainParams, steady_state, transition_matrix
+from oqwalk.analysis import ChainParams, steady_state
 from oqwalk.matrixkit import (
     I2,
     X,
@@ -16,6 +16,7 @@ from oqwalk.matrixkit import (
     random_pure_state,
     trace_distance,
 )
+from oracles import transition_matrix
 
 PLUS = projector(np.array([1, 1]) / np.sqrt(2))
 MINUS = projector(np.array([1, -1]) / np.sqrt(2))

@@ -1,11 +1,13 @@
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oqwalk import cli
 from oqwalk.cli import main
 
 OMEGA_23 = "0.6666666666666666"
@@ -373,6 +375,75 @@ def test_spec_with_a_chain_option_is_usage_error(capsys, tmp_path, option, value
     assert code == 2
     assert out == ""
     assert err == f"error: {option} cannot be given with --spec, which sets the chain\n"
+
+
+# each probability option outside its interval, nan included
+OUT_OF_RANGE = {
+    "steady-omega-above-one": (BASE["steady"] + ["--omega", "1.5"],
+                               "--omega must be in [0, 1], got 1.5"),
+    "steady-omega-nan": (["steady", "--N", "3", "--omega", "nan", "--steps", "2"],
+                         "--omega must be in [0, 1], got nan"),
+    "steady-eta-above-one": (["steady", "--N", "3", "--eta", "1.5", "--steps", "2"],
+                             "--eta must be in [0, 1), got 1.5"),
+    "profile-eta-one": (["profile", "--N", "3", "--eta", "1"], "--eta must be in [0, 1), got 1.0"),
+    "verify-eta-nan": (["verify", "--N", "3", "--eta", "nan"], "--eta must be in [0, 1), got nan"),
+    "resources-omega-negative": (["resources", "--N", "4", "--omega", "-0.1"],
+                                 "--omega must be in [0, 1], got -0.1"),
+    "channel-param-above-one": (["channel", "dephasing", "--param", "2"],
+                                "--param must be in [0, 1], got 2.0"),
+    "channel-param-nan": (["channel", "depolarizing", "--param", "nan"],
+                          "--param must be in [0, 1], got nan"),
+    "channel-omega-inf": (BASE["channel"] + ["--omega", "inf"], "--omega must be in [0, 1], got inf"),
+}
+
+
+@pytest.mark.parametrize("argv, fault", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_out_of_range_probabilities_are_usage_errors(capsys, argv, fault):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {fault}\n"
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (["steady", "--N", "3", "--omega", "0", "--steps", "2"], "omega must be in (0, 1], got 0.0"),
+    (["resources", "--N", "4", "--omega", "0.4"],
+     "step estimate requires positive drift (omega > 1/2)"),
+], ids=["steady-omega-zero", "resources-omega-without-drift"])
+def test_in_range_values_a_library_check_refuses_are_failures(capsys, argv, fault):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"failure: {fault}\n"
+
+
+@pytest.mark.parametrize("command", list(BASE))
+@pytest.mark.parametrize("raised, line", [
+    (MemoryError("Unable to allocate 2.98 GiB for an array"),
+     "failure: Unable to allocate 2.98 GiB for an array\n"),
+    (MemoryError(), "failure: MemoryError\n"),
+], ids=["numpy-message", "bare"])
+def test_memory_error_is_one_failure_line(capsys, monkeypatch, command, raised, line):
+    def exhausted(args):
+        raise raised
+    monkeypatch.setitem(cli.COMMANDS, command, cli.COMMANDS[command]._replace(handler=exhausted))
+    code, out, err = run(capsys, *BASE[command])
+    assert code == 1
+    assert out == ""
+    assert err == line
+    assert "Traceback" not in err
+
+
+def test_steady_memory_is_linear_in_n(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["steady", "--N", "4000", "--omega", "0.7", "--steps", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4001
+    assert peak < 4_000_000   # one 4000 x 4000 float matrix is 128 MB
 
 
 def test_parser_is_built_once():

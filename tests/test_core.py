@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oqwalk import core
-from oqwalk.analysis import ChainParams, power_iterate, transition_matrix
+from oqwalk.analysis import ChainParams
 from oqwalk.matrixkit import X, haar_unitary, projector, random_density, random_pure_state
+from oracles import power_iterate, transition_matrix
 
 
 def random_chain(n, omega, rng, dim=2):

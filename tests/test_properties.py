@@ -1,9 +1,13 @@
-"""Property tests over random chains: the birth-death kernel against its
-matrix and against exact block evolution, the walk kernel against the
+"""Property tests over random chains: the birth-death kernel against the
+per-node loop, against its matrix and against exact block evolution, and
+``oqw steady`` against the per-node loop, the walk kernel against the
 per-edge loop it replaced, trace and positivity under evolution, the
 dense <-> diagonal boundary shared by the dilation and circuit routes,
 the agreement of the exact, dilation and circuit steps, and the analytic
 against the iterated channel limit."""
+
+import io
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oqwalk import circuit, core, dilation
-from oqwalk.analysis import ChainParams, iterate_master, master_step, transition_matrix
+from oqwalk.cli import main
+from oqwalk.analysis import ChainParams, iterate_master, master_step
 from oqwalk.channels import coefficient_evolution, embed_random_unitary, limit_state
 from oqwalk.matrixkit import (
     asmatrix,
@@ -20,6 +25,7 @@ from oqwalk.matrixkit import (
     random_pure_state,
     trace_distance,
 )
+from oracles import transition_matrix
 
 sizes = st.integers(min_value=2, max_value=40)
 omegas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -37,12 +43,45 @@ def loop_master_step(dist, n, w, lam):
     return out
 
 
+def loop_iterate(dist, p, steps):
+    """``loop_master_step`` applied ``steps`` times to each column of ``dist``."""
+    columns = np.asarray(dist, dtype=float).reshape(p.n_nodes, -1).T
+    out = []
+    for col in columns:
+        for _ in range(steps):
+            col = loop_master_step(col, p.n_nodes, p.omega, p.lam)
+        out.append(col)
+    return np.array(out).T.reshape(np.shape(dist))
+
+
 @FEW
 @given(n=sizes, omega=omegas, seed=seeds)
 def test_master_step_equals_per_node_loop_bitwise(n, omega, seed):
     p = ChainParams(n, omega)
     dist = np.random.default_rng(seed).dirichlet(np.ones(n))
     assert np.array_equal(master_step(dist, p), loop_master_step(dist, n, p.omega, p.lam))
+
+
+@FEW
+@given(n=st.integers(2, 200), omega=omegas, steps=st.integers(0, 300),
+       columns=st.sampled_from([None, 1, 2, 3]), seed=seeds)
+def test_iterate_master_equals_per_node_loop_bitwise(n, omega, steps, columns, seed):
+    p = ChainParams(n, omega)
+    dist = np.random.default_rng(seed).dirichlet(np.ones(n), size=columns).T
+    assert np.array_equal(iterate_master(dist, p, steps), loop_iterate(dist, p, steps))
+
+
+@FEW
+@given(n=st.integers(2, 60), omega=omegas, steps=st.integers(0, 300))
+def test_steady_simulated_column_equals_per_node_loop_bitwise(n, omega, steps):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["steady", "--N", str(n), "--omega", repr(omega),
+                     "--steps", str(steps)]) == 0
+    simulated = [float(line.split(",")[1]) for line in out.getvalue().splitlines()[1:]]
+    start = np.zeros(n)
+    start[0] = 1.0
+    assert np.array_equal(simulated, loop_iterate(start, ChainParams(n, omega), steps))
 
 
 @FEW
