@@ -20,10 +20,12 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import core
+from .compiled import Plan, compile_gates
 from .matrixkit import asmatrix
 
 GATE_KINDS = ("x", "ry", "u", "measure_nonsel", "reset")
@@ -67,6 +69,8 @@ class Circuit:
 
     registers: dict
     gates: list = field(default_factory=list)
+    # the compiled simulate_density plan, see _density_plan
+    _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_qubits(self) -> int:
@@ -103,12 +107,6 @@ def _repeats(gates: list) -> tuple:
     while gates[k * p:(k + 1) * p] == block:
         k += 1
     return (p, k) if k >= 2 else (0, 0)
-
-
-def _ry_matrix(theta: float) -> np.ndarray:
-    # exp(i theta Y / 2); the first column is (cos t/2, -sin t/2)
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, s], [-s, c]], dtype=complex)
 
 
 def rotation_angle(omega: float) -> float:
@@ -321,141 +319,77 @@ def build_walk(chain: core.LinearChainSpec, n: int, ancilla_policy: str = "reuse
     return c
 
 
-# --- gate-local simulation ---------------------------------------------------
-
-def _apply_local(t: np.ndarray, gate: Gate, axis: dict, conj: bool = False) -> None:
-    """Apply a unitary gate in place to the tensor axes ``axis[q]`` of its qubits.
-
-    Only the basic-index slice where every control axis holds its polarity
-    changes; the base matrix (conjugated when acting on bra axes) is
-    contracted with the target axes of that slice. An X is a permutation,
-    so it flips the target axis instead of multiplying.
-    """
-    idx = [slice(None)] * t.ndim
-    for q, pol in gate.controls:
-        idx[axis[q]] = pol
-    idx = tuple(idx)
-    ctrl_axes = [axis[q] for q, _ in gate.controls]
-    # target axes inside the slice, where the control axes are gone
-    tgt = [axis[q] - sum(a < axis[q] for a in ctrl_axes) for q in gate.targets]
-    view = t[idx]
-    if gate.kind == "x":
-        t[idx] = np.flip(view, tgt[0])
-        return
-    base = _ry_matrix(gate.angle) if gate.kind == "ry" else asmatrix(gate.matrix)
-    if conj:
-        base = base.conj()
-    k = len(tgt)
-    out = np.tensordot(base.reshape((2,) * (2 * k)), view, axes=(range(k, 2 * k), tgt))
-    t[idx] = np.moveaxis(out, range(k), tgt)
-
+# --- simulation ------------------------------------------------------------
 
 def circuit_matrix(circuit: Circuit) -> np.ndarray:
-    """Total unitary of a measurement-free circuit on its declared qubits."""
-    nq = circuit.n_qubits
-    qubit_pos = {q: i for i, q in enumerate(sorted(circuit.all_qubits()))}
-    total = np.eye(2 ** nq, dtype=complex).reshape((2,) * nq + (2 ** nq,))
-    for gate in circuit.gates:
-        if gate.kind in ("measure_nonsel", "reset"):
-            raise ValueError("circuit_matrix requires a unitary circuit")
-        _apply_local(total, gate, qubit_pos)
-    return total.reshape(2 ** nq, 2 ** nq)
+    """Total unitary of a measurement-free circuit on its declared qubits,
+    through the same compiled ops as ``simulate_density``, ket side only."""
+    circuit.validate()
+    if any(gate.kind in ("measure_nonsel", "reset") for gate in circuit.gates):
+        raise ValueError("circuit_matrix requires a unitary circuit")
+    live = sorted(circuit.all_qubits())
+    dim = 2 ** len(live)
+    plan = compile_gates(circuit.gates, live, set(live), density=False)
+    total = plan.run(np.eye(dim, dtype=complex).reshape((2,) * len(live) + (dim,)))
+    return total.reshape(dim, dim)
 
 
-class _DensitySim:
-    """Density-matrix state over a live subset of the circuit qubits.
+class _DensityPlan(NamedTuple):
+    """A compiled ``simulate_density`` plan and what it was compiled from."""
 
-    The state is a ``(2,) * 2nq`` tensor, ket axes first and bra axes after,
-    both in ``live`` order; every gate acts on its own axes only. Ancilla
-    qubits enter the state lazily (as |0><0|) when first touched and are
-    traced out as soon as no later gate references them, so the live
-    dimension stays at walker x node x one ancilla pair even for the fresh
-    ancilla policy.
-    """
-
-    def __init__(self, rho: np.ndarray, live: list):
-        self.live = list(live)
-        # a copy: gates write the state in place
-        self.rho = np.array(rho, dtype=complex).reshape((2,) * (2 * len(self.live)))
-
-    def dense(self) -> np.ndarray:
-        dim = 2 ** len(self.live)
-        return self.rho.reshape(dim, dim)
-
-    def _attach(self, q: int):
-        nq = len(self.live)
-        rho = np.zeros((2,) * (2 * nq + 2), dtype=complex)
-        rho[(slice(None),) * nq + (0,) + (slice(None),) * nq + (0,)] = self.rho
-        self.rho = rho
-        self.live.append(q)
-
-    def ensure(self, qubits):
-        for q in qubits:
-            if q not in self.live:
-                self._attach(q)
-
-    def apply(self, gate: Gate):
-        self.ensure(gate.qubits)
-        nq = len(self.live)
-        if gate.kind == "measure_nonsel":
-            (q,) = gate.targets
-            pos = self.live.index(q)
-            for ket, bra in ((0, 1), (1, 0)):
-                idx = [slice(None)] * (2 * nq)
-                idx[pos], idx[pos + nq] = ket, bra
-                self.rho[tuple(idx)] = 0.0
-        elif gate.kind == "reset":
-            (q,) = gate.targets
-            self.trace_out(q)
-            self._attach(q)
-        else:
-            ket = {q: i for i, q in enumerate(self.live)}
-            _apply_local(self.rho, gate, ket)
-            _apply_local(self.rho, gate, {q: i + nq for q, i in ket.items()}, conj=True)
-
-    def trace_out(self, q: int):
-        pos = self.live.index(q)
-        self.rho = np.trace(self.rho, axis1=pos, axis2=pos + len(self.live))
-        self.live.pop(pos)
+    gates: list
+    registers: dict
+    dims: tuple
+    ry_angles: list
+    plan: Plan
 
 
-def simulate_density(circuit: Circuit, initial: core.DiagonalState,
-                     omega: float | None = None) -> core.DiagonalState:
-    """Run the circuit on a diagonal walker-node state, tracing all ancillas.
-
-    Non-selective measurements zero the measured qubit's coherences; reset
-    traces and reinitializes. When ``omega`` is given, the RY preparation
-    angles found in the circuit are checked against it. The node register
-    must come back diagonal, with no mass left in padded levels; both are
-    checked by ``DiagonalState.from_dense``.
-    """
+def _density_plan(circuit: Circuit) -> _DensityPlan:
+    """The circuit's compiled plan, made on first use and again whenever
+    its gate list (by gate identity) or registers have changed."""
+    cached = circuit._plan
+    if cached is not None and cached.gates == circuit.gates \
+            and cached.registers == circuit.registers:
+        return cached
     circuit.validate()
     qh, qg = circuit.registers["qH"], circuit.registers["qG"]
     h, g = len(qh), len(qg)
     main = list(qh) + list(qg)
     if main != list(range(h + g)):
         raise ValueError("walker and node registers must occupy the leading qubits")
+    cached = _DensityPlan(list(circuit.gates), dict(circuit.registers), (2 ** h, 2 ** g),
+                          [gate.angle for gate in circuit.gates if gate.kind == "ry"],
+                          compile_gates(circuit.gates, main, set(main)))
+    circuit._plan = cached
+    return cached
+
+
+def simulate_density(circuit: Circuit, initial: core.DiagonalState,
+                     omega: float | None = None) -> core.DiagonalState:
+    """Run the circuit on a diagonal walker-node state, tracing all ancillas.
+
+    The circuit is validated and compiled once (``compile_gates``: the
+    attach and trace-out schedule, X runs fused into permutations and ``u``
+    runs into multiplexors); the plan is kept on the circuit and made again
+    when its gate list or registers change.
+    Non-selective measurements zero the measured qubit's coherences; reset
+    traces and reinitializes. When ``omega`` is given, the RY preparation
+    angles found in the circuit are checked against it. The node register
+    must come back diagonal, with no mass left in padded levels; both are
+    checked by ``DiagonalState.from_dense``.
+    """
+    compiled = _density_plan(circuit)
     if omega is not None:
         want = rotation_angle(omega)
-        for gate in circuit.gates:
-            if gate.kind == "ry" and abs(gate.angle - want) > 1e-12:
-                raise ValueError(f"RY angle {gate.angle} does not prepare omega={omega}")
-    dims = (2 ** h, 2 ** g)
-    sim = _DensitySim(initial.to_dense(dims), main)
-
-    last_use = {}
-    for pos, gate in enumerate(circuit.gates):
-        for q in gate.qubits:
-            last_use[q] = pos
-    for pos, gate in enumerate(circuit.gates):
-        sim.apply(gate)
-        for q in [q for q in sim.live if q not in main and last_use.get(q, -1) <= pos]:
-            sim.trace_out(q)
-    for q in [q for q in sim.live if q not in main]:
-        sim.trace_out(q)
-
-    return core.DiagonalState.from_dense(sim.dense(), initial.n_nodes, initial.walker_dim,
-                                         dims, trace=initial.total_trace())
+        for angle in compiled.ry_angles:
+            if abs(angle - want) > 1e-12:
+                raise ValueError(f"RY angle {angle} does not prepare omega={omega}")
+    dims = compiled.dims
+    nq = len(compiled.plan.live)
+    rho = compiled.plan.run(initial.to_dense(dims).reshape((2,) * (2 * nq)))
+    return core.DiagonalState.from_dense(rho.reshape(2 ** nq, 2 ** nq), initial.n_nodes,
+                                         initial.walker_dim, dims,
+                                         trace=initial.total_trace())
 
 
 # --- cost model --------------------------------------------------------------

@@ -196,6 +196,10 @@ def cmd_verify(args) -> str:
 
     dil = dilation.build_u_loc(chain)
     step_circ = circuit.build_step(chain)
+
+    def blocks(state, n=chain.n_nodes):
+        return np.stack([state.block(i) for i in range(n)])
+
     direct, via_dil, via_circ = initial, initial, initial
     per_step, first_two = [], []
     for k in range(1, steps + 1):
@@ -204,10 +208,9 @@ def cmd_verify(args) -> str:
             first_two.append(direct)
         via_dil = dilation.step_via_dilation(dil, via_dil, chain.omega)
         via_circ = circuit.simulate_density(step_circ, via_circ, chain.omega)
-        d_dil = max(trace_distance(direct.block(i), via_dil.block(i))
-                    for i in range(chain.n_nodes))
-        d_circ = max(trace_distance(direct.block(i), via_circ.block(i))
-                     for i in range(chain.n_nodes))
+        want = blocks(direct)
+        d_dil = float(trace_distance(want, blocks(via_dil)).max())
+        d_circ = float(trace_distance(want, blocks(via_circ)).max())
         per_step.append({"step": k, "dilation": d_dil, "circuit": d_circ})
     worst_dil = max(e["dilation"] for e in per_step)
     worst_circ = max(e["circuit"] for e in per_step)
@@ -218,8 +221,7 @@ def cmd_verify(args) -> str:
               "per_step": per_step}
     if chain.n_nodes == 2 and steps >= 2:
         one, two = first_two
-        report["stabilization_delta"] = max(
-            trace_distance(one.block(i), two.block(i)) for i in range(2))
+        report["stabilization_delta"] = float(trace_distance(blocks(one), blocks(two)).max())
     text = json.dumps(report, indent=1) + "\n"
     if not report["pass"]:
         raise NumericError(text)

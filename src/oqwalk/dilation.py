@@ -9,7 +9,7 @@ weight multisets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -30,20 +30,23 @@ class DilationUnitary:
 
     ``factor_dims`` orders the subsystems; for the locality kinds it is
     (walker, node, ancilla). ``ancilla_weights`` holds the mixed ancilla
-    preparation for the generalized construction.
+    preparation for the generalized construction. The matrix is checked to
+    be unitary by the dense product u†u, unless ``unitary_checked`` says its
+    builder has already checked it block by block (``_locality_unitary``).
     """
 
     matrix: np.ndarray
     factor_dims: tuple
     kind: str
     ancilla_weights: tuple | None = None
+    unitary_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, unitary_checked):
         dim = int(np.prod(self.factor_dims))
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match "
                              f"factor dims {self.factor_dims}")
-        if not is_unitary(self.matrix, UNITARY_TOL):
+        if not unitary_checked and not is_unitary(self.matrix, UNITARY_TOL):
             raise ValueError("dilation matrix is not unitary")
 
 
@@ -102,18 +105,39 @@ def sznagy_unitary(k) -> DilationUnitary:
     return DilationUnitary(u, (2, d), "sznagy")
 
 
-def _locality_unitary(factor_dims, entries) -> np.ndarray:
-    """Dense locality unitary on walker ⊗ node ⊗ ancilla, written block by
+def _locality_unitary(factor_dims, entries, kind: str,
+                      ancilla_weights: tuple | None = None) -> DilationUnitary:
+    """Dense locality dilation on walker ⊗ node ⊗ ancilla, written block by
     block: entry (source, target, level_in, level_out, U) maps |source,
-    level_in> to |target, level_out> applying U. Blocks never overlap."""
+    level_in> to |target, level_out> applying U.
+
+    Unitarity is checked on the blocks instead of by the dense product: the
+    entries must map the (node, level) pairs one to one onto themselves,
+    and each U must be unitary to ``UNITARY_TOL``. Then u†u is block
+    diagonal with blocks U†U, so this is the dense check.
+    """
+    _, n, k = factor_dims
     dim = int(np.prod(factor_dims))
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"dilation dimension {dim} exceeds the dense cap {MAX_DENSE_DIM}")
+    pairs = {(node, level) for node in range(n) for level in range(k)}
+    sources = {(source, level_in) for source, _, level_in, _, _ in entries}
+    targets = {(target, level_out) for _, target, _, level_out, _ in entries}
+    if len(entries) != len(pairs) or sources != pairs or targets != pairs:
+        raise ValueError("dilation matrix is not unitary: its blocks do not map the "
+                         "(node, level) pairs one to one")
+    ops = np.array([op for *_, op in entries], dtype=complex)
+    gram = ops.conj().swapaxes(1, 2) @ ops - np.eye(ops.shape[-1])
+    deviation = np.abs(gram).reshape(len(ops), -1).max(axis=1)
+    if deviation.max() > UNITARY_TOL:
+        source, target, level_in, level_out, _ = entries[int(np.argmax(deviation > UNITARY_TOL))]
+        raise ValueError(f"dilation matrix is not unitary: block ({source}, {level_in}) "
+                         f"-> ({target}, {level_out}) is not")
     u = np.zeros((dim, dim), dtype=complex)
     blocks = u.reshape(factor_dims * 2)
     for source, target, level_in, level_out, op in entries:
         blocks[:, target, level_out, :, source, level_in] = op
-    return u
+    return DilationUnitary(u, factor_dims, kind, ancilla_weights, unitary_checked=True)
 
 
 def build_u_loc(chain: core.LinearChainSpec) -> DilationUnitary:
@@ -128,7 +152,7 @@ def build_u_loc(chain: core.LinearChainSpec) -> DilationUnitary:
     entries = [(i, i + 1, 1, 1, chain.unitaries[i]) for i in range(n - 1)]
     entries += [(i, i - 1, 0, 0, chain.unitaries[i - 1].conj().T) for i in range(1, n)]
     entries += [(n - 1, n - 1, 1, 0, eye_d), (0, 0, 0, 1, eye_d)]
-    return DilationUnitary(_locality_unitary((d, n, 2), entries), (d, n, 2), "local")
+    return _locality_unitary((d, n, 2), entries, "local")
 
 
 def _scaled_unitary_decomposition(b, tol=UNITARY_TOL):
@@ -197,11 +221,10 @@ def build_generalized(spec: core.OqwSpec, k: int) -> DilationUnitary:
         taken[j].add(slot)
         out_level[(i, lvl)] = slot
 
-    u = _locality_unitary((d, n, k), [(i, j, lvl, out_level[(i, lvl)], uij)
-                                      for i in range(n)
-                                      for lvl, (_, j, uij) in enumerate(per_node[i])])
-    return DilationUnitary(u, (d, n, k), "generalized",
-                           ancilla_weights=tuple(canonical.tolist()))
+    return _locality_unitary((d, n, k), [(i, j, lvl, out_level[(i, lvl)], uij)
+                                         for i in range(n)
+                                         for lvl, (_, j, uij) in enumerate(per_node[i])],
+                             "generalized", tuple(canonical.tolist()))
 
 
 def step_via_dilation(dil: DilationUnitary, state: core.DiagonalState,

@@ -93,15 +93,24 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return tensor.reshape(kept_dim, kept_dim)
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of (a - b), via eigenvalues of the difference."""
-    a, b = asmatrix(a), asmatrix(b)
+def trace_distance(a, b):
+    """Half the trace norm of (a - b), via eigenvalues of the difference.
+
+    ``a`` and ``b`` may also be stacks of matrices, shape (..., d, d): the
+    result is then an array with one distance per block, equal to the 2-D
+    call on that block, and every block must pass the Hermitian check.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.ndim < 2:
+        raise ValueError(f"expected a 2-D matrix or a stack of them, got shape {a.shape}")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     diff = a - b
-    if not is_hermitian(diff):
+    herm = diff.swapaxes(-1, -2).conj()
+    if a.shape[-1] != a.shape[-2] or np.abs(diff - herm).max(initial=0.0) > 1e-8:
         raise ValueError("trace_distance requires Hermitian operands")
-    return 0.5 * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum())
+    dist = 0.5 * np.abs(np.linalg.eigvalsh((diff + herm) / 2)).sum(axis=-1)
+    return float(dist) if a.ndim == 2 else dist
 
 
 def complete_isometry(v, tol: float = DEFAULT_TOL) -> np.ndarray:

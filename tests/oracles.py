@@ -1,11 +1,22 @@
-"""The birth-death chain as a matrix: a test oracle for ``analysis.iterate_master``.
+"""Test oracles: routes the package once took and replaced.
 
-``oqw steady`` once built this N x N matrix and applied it by repeated
+The birth-death chain as a matrix, for ``analysis.iterate_master``: ``oqw
+steady`` once built this N x N matrix and applied it by repeated
 matrix-vector products. BLAS rounds those products differently from the
 recursion, so assertions against this route carry a tolerance.
+
+The gate-by-gate density simulator, for ``circuit.simulate_density`` and
+``circuit.circuit_matrix``, which now run a compiled, fused op list. Each
+fused op does per pattern the arithmetic this oracle does per gate. So the
+unitary of a circuit agrees bit for bit, and so does the density of a walk,
+whose node register stays diagonal; on a state with coherence between two
+patterns of a multiplexor the fused op may apply their ket and bra sides in
+the other order, which rounds differently.
 """
 
 import numpy as np
+
+from oqwalk import circuit, compiled, core
 
 
 def transition_matrix(p) -> np.ndarray:
@@ -29,3 +40,133 @@ def power_iterate(t: np.ndarray, dist, n_steps: int) -> np.ndarray:
     for _ in range(n_steps):
         dist = t @ dist
     return dist
+
+
+# --- the per-gate density simulator ------------------------------------------------
+
+def apply_local(t: np.ndarray, gate, axis: dict, conj: bool = False) -> None:
+    """Apply a unitary gate in place to the tensor axes ``axis[q]`` of its qubits.
+
+    Only the basic-index slice where every control axis holds its polarity
+    changes; the base matrix (conjugated when acting on bra axes) is
+    contracted with the target axes of that slice. An X is a permutation,
+    so it flips the target axis instead of multiplying.
+    """
+    idx = [slice(None)] * t.ndim
+    for q, pol in gate.controls:
+        idx[axis[q]] = pol
+    idx = tuple(idx)
+    ctrl_axes = [axis[q] for q, _ in gate.controls]
+    # target axes inside the slice, where the control axes are gone
+    tgt = [axis[q] - sum(a < axis[q] for a in ctrl_axes) for q in gate.targets]
+    view = t[idx]
+    if gate.kind == "x":
+        t[idx] = np.flip(view, tgt[0])
+        return
+    base = compiled.ry_matrix(gate.angle) if gate.kind == "ry" else np.asarray(gate.matrix,
+                                                                               dtype=complex)
+    if conj:
+        base = base.conj()
+    k = len(tgt)
+    out = np.tensordot(base.reshape((2,) * (2 * k)), view, axes=(range(k, 2 * k), tgt))
+    t[idx] = np.moveaxis(out, range(k), tgt)
+
+
+class DensitySim:
+    """Density-matrix state over a live subset of the circuit qubits, one
+    gate at a time: the simulator ``circuit.simulate_density`` ran before it
+    compiled a circuit into fused ops.
+
+    The state is a ``(2,) * 2nq`` tensor, ket axes first and bra axes after,
+    both in ``live`` order; every gate acts on its own axes only, through
+    ``apply_local``. Ancillas attach as |0><0| when first touched.
+    """
+
+    def __init__(self, rho: np.ndarray, live: list):
+        self.live = list(live)
+        # a copy: gates write the state in place
+        self.rho = np.array(rho, dtype=complex).reshape((2,) * (2 * len(self.live)))
+
+    def dense(self) -> np.ndarray:
+        dim = 2 ** len(self.live)
+        return self.rho.reshape(dim, dim)
+
+    def _attach(self, q: int):
+        nq = len(self.live)
+        rho = np.zeros((2,) * (2 * nq + 2), dtype=complex)
+        rho[(slice(None),) * nq + (0,) + (slice(None),) * nq + (0,)] = self.rho
+        self.rho = rho
+        self.live.append(q)
+
+    def ensure(self, qubits):
+        for q in qubits:
+            if q not in self.live:
+                self._attach(q)
+
+    def apply(self, gate):
+        self.ensure(gate.qubits)
+        nq = len(self.live)
+        if gate.kind == "measure_nonsel":
+            (q,) = gate.targets
+            pos = self.live.index(q)
+            for ket, bra in ((0, 1), (1, 0)):
+                idx = [slice(None)] * (2 * nq)
+                idx[pos], idx[pos + nq] = ket, bra
+                self.rho[tuple(idx)] = 0.0
+        elif gate.kind == "reset":
+            (q,) = gate.targets
+            self.trace_out(q)
+            self._attach(q)
+        else:
+            ket = {q: i for i, q in enumerate(self.live)}
+            apply_local(self.rho, gate, ket)
+            apply_local(self.rho, gate, {q: i + nq for q, i in ket.items()}, conj=True)
+
+    def trace_out(self, q: int):
+        pos = self.live.index(q)
+        self.rho = np.trace(self.rho, axis1=pos, axis2=pos + len(self.live))
+        self.live.pop(pos)
+
+
+def simulate_density(circ, initial, omega=None):
+    """``circuit.simulate_density`` gate by gate, validating and scheduling
+    the ancilla trace-outs on every call."""
+    circ.validate()
+    qh, qg = circ.registers["qH"], circ.registers["qG"]
+    h, g = len(qh), len(qg)
+    main = list(qh) + list(qg)
+    if main != list(range(h + g)):
+        raise ValueError("walker and node registers must occupy the leading qubits")
+    if omega is not None:
+        want = circuit.rotation_angle(omega)
+        for gate in circ.gates:
+            if gate.kind == "ry" and abs(gate.angle - want) > 1e-12:
+                raise ValueError(f"RY angle {gate.angle} does not prepare omega={omega}")
+    dims = (2 ** h, 2 ** g)
+    sim = DensitySim(initial.to_dense(dims), main)
+
+    last_use = {}
+    for pos, gate in enumerate(circ.gates):
+        for q in gate.qubits:
+            last_use[q] = pos
+    for pos, gate in enumerate(circ.gates):
+        sim.apply(gate)
+        for q in [q for q in sim.live if q not in main and last_use.get(q, -1) <= pos]:
+            sim.trace_out(q)
+    for q in [q for q in sim.live if q not in main]:
+        sim.trace_out(q)
+
+    return core.DiagonalState.from_dense(sim.dense(), initial.n_nodes, initial.walker_dim,
+                                         dims, trace=initial.total_trace())
+
+
+def circuit_matrix(circ) -> np.ndarray:
+    """``circuit.circuit_matrix`` gate by gate on the identity."""
+    nq = circ.n_qubits
+    qubit_pos = {q: i for i, q in enumerate(sorted(circ.all_qubits()))}
+    total = np.eye(2 ** nq, dtype=complex).reshape((2,) * nq + (2 ** nq,))
+    for gate in circ.gates:
+        if gate.kind in ("measure_nonsel", "reset"):
+            raise ValueError("circuit_matrix requires a unitary circuit")
+        apply_local(total, gate, qubit_pos)
+    return total.reshape(2 ** nq, 2 ** nq)

@@ -264,25 +264,25 @@ def test_criterion_12_random_unitary_embedding():
 
 def test_criterion_13_route_agreement_at_size():
     # N = 64 with d = 3 runs the circuit on 10 qubits (2 walker, 6 node, 2
-    # ancilla); N = 5 and the qutrit walker exercise padded sectors
+    # ancilla), as does N = 128 with d = 2 (1 walker, 7 node); N = 5 and the
+    # qutrit walker exercise padded sectors
     rng = np.random.default_rng(113)
     worst_dil = worst_circ = 0.0
-    for n in (5, 8, 16, 64):
-        for d in (2, 3):
-            chain = random_chain(n, rng.uniform(0.2, 0.8), rng, dim=d)
-            spec = core.chain_to_spec(chain)
-            dil = dilation.build_u_loc(chain)
-            step_circ = circuit.build_walk(chain, 1)
-            weights = rng.dirichlet(np.ones(n))
-            direct = core.DiagonalState(n, {i: weights[i] * random_density(d, rng)
-                                            for i in range(n)})
-            via_dil = via_circ = direct
-            for _ in range(3):
-                direct = core.step(spec, direct)
-                via_dil = dilation.step_via_dilation(dil, via_dil, chain.omega)
-                via_circ = circuit.simulate_density(step_circ, via_circ, chain.omega)
-                worst_dil = max(worst_dil, state_distance(direct, via_dil, n))
-                worst_circ = max(worst_circ, state_distance(direct, via_circ, n))
+    for n, d in [(n, d) for n in (5, 8, 16, 64) for d in (2, 3)] + [(128, 2)]:
+        chain = random_chain(n, rng.uniform(0.2, 0.8), rng, dim=d)
+        spec = core.chain_to_spec(chain)
+        dil = dilation.build_u_loc(chain)
+        step_circ = circuit.build_walk(chain, 1)
+        weights = rng.dirichlet(np.ones(n))
+        direct = core.DiagonalState(n, {i: weights[i] * random_density(d, rng)
+                                        for i in range(n)})
+        via_dil = via_circ = direct
+        for _ in range(3):
+            direct = core.step(spec, direct)
+            via_dil = dilation.step_via_dilation(dil, via_dil, chain.omega)
+            via_circ = circuit.simulate_density(step_circ, via_circ, chain.omega)
+            worst_dil = max(worst_dil, state_distance(direct, via_dil, n))
+            worst_circ = max(worst_circ, state_distance(direct, via_circ, n))
     report(13, "route agreement at size", worst_dil <= 1e-10 and worst_circ <= 1e-10,
-           f"N in (5,8,16,64) x d in (2,3), n=3, max distance "
+           f"N in (5,8,16,64) x d in (2,3) and N=128 x d=2, n=3, max distance "
            f"dilation={worst_dil:.3e}, circuit={worst_circ:.3e}")

@@ -1,9 +1,12 @@
 import json
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oqwalk import circuit, core
+from oqwalk import circuit, compiled, core
 from oqwalk.analysis import fit_loglog_slope
 from oqwalk.circuit import Circuit, Gate
 from oqwalk.matrixkit import (
@@ -15,6 +18,7 @@ from oqwalk.matrixkit import (
     random_pure_state,
     trace_distance,
 )
+import oracles
 
 
 def random_chain(n, omega, rng, dim=2):
@@ -411,6 +415,80 @@ def test_simulate_checks_ry_angle():
         circuit.simulate_density(circuit.build_walk(chain, 1), state, 0.3)
 
 
+def test_plan_is_kept_and_remade_when_the_gate_list_changes():
+    rng = np.random.default_rng(21)
+    chain = random_chain(5, 0.7, rng)
+    state = random_diagonal_state(5, 2, rng)
+    walk = circuit.build_walk(chain, 1)
+    one = circuit.simulate_density(walk, state, chain.omega)
+    plan = walk._plan
+    circuit.simulate_density(walk, state, chain.omega)
+    assert walk._plan is plan
+    # the same list object, grown in place into a two-step walk
+    walk.gates.extend(circuit.build_walk(chain, 2).gates[len(walk.gates):])
+    two = circuit.simulate_density(walk, state, chain.omega)
+    want = oracles.simulate_density(circuit.build_walk(chain, 2), state, chain.omega)
+    # one U gate replaced in place by one for another walker unitary
+    pos = next(i for i, g in enumerate(walk.gates) if g.kind == "u")
+    old = walk.gates[pos]
+    walk.gates[pos] = Gate("u", old.targets, old.controls, matrix=haar_unitary(2, rng))
+    changed = circuit.simulate_density(walk, state, chain.omega)
+    assert all(np.array_equal(two.block(i), want.block(i)) for i in range(5))
+    assert not all(np.array_equal(one.block(i), two.block(i)) for i in range(5))
+    recheck = oracles.simulate_density(walk, state)
+    assert all(np.array_equal(changed.block(i), recheck.block(i)) for i in range(5))
+    assert not all(np.array_equal(changed.block(i), two.block(i)) for i in range(5))
+
+
+def test_concurrent_runs_of_one_plan_agree():
+    # a plan keeps two state buffers for all its runs; its lock keeps
+    # threads simulating one circuit apart
+    rng = np.random.default_rng(23)
+    chain = random_chain(8, 0.6, rng)
+    state = random_diagonal_state(8, 2, rng)
+    walk = circuit.build_walk(chain, 2)
+    want = circuit.simulate_density(walk, state, chain.omega)
+    results, errors = [], []
+
+    def work():
+        try:
+            for _ in range(25):
+                results.append(circuit.simulate_density(walk, state, chain.omega))
+        except Exception as exc:  # reported below, with the thread's result count
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(results) == 100
+    for got in results:
+        assert all(np.array_equal(got.block(i), want.block(i)) for i in range(8))
+
+
+def test_one_step_at_n128_peaks_below_36_mib():
+    # the state alone is 16 MiB (walker 1, node 7 and two ancilla qubits),
+    # and the first run allocates it and one spare buffer of that size
+    rng = np.random.default_rng(22)
+    chain = random_chain(128, 0.6, rng)
+    state = random_diagonal_state(128, 2, rng)
+    step = circuit.build_walk(chain, 1)
+    tracemalloc.start()
+    try:
+        circuit.simulate_density(step, state, chain.omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2 ** 20
+
+
 def test_circuit_matrix_rejects_measurement():
     c = Circuit({"q": (0,)}, [Gate("measure_nonsel", (0,))])
     with pytest.raises(ValueError, match="unitary"):
@@ -428,12 +506,21 @@ def test_gate_validation():
 
 # --- gate-local kernel against the dense embedding ---------------------------------
 
+def apply_gate(rho, live, gate):
+    """One gate through the compiled ops on a dense state over ``live``:
+    the new dense state and its qubit order. No qubit is traced out."""
+    plan = compiled.compile_gates([gate], live, set(live) | set(gate.qubits))
+    out = plan.run(np.asarray(rho, dtype=complex).reshape((2,) * (2 * len(live))))
+    dim = 2 ** len(plan.live)
+    return out.reshape(dim, dim), plan.live
+
+
 def dense_controlled_matrix(gate):
     """Reference: gate matrix over (controls..., targets...), controls as high bits."""
     if gate.kind == "x":
         base = np.array([[0, 1], [1, 0]], dtype=complex)
     elif gate.kind == "ry":
-        base = circuit._ry_matrix(gate.angle)
+        base = compiled.ry_matrix(gate.angle)
     else:
         base = np.asarray(gate.matrix, dtype=complex)
     c = len(gate.controls)
@@ -463,9 +550,9 @@ def dense_embed(op, positions, nq):
     return tensor.reshape(2 ** nq, 2 ** nq)
 
 
-def random_gate(rng, nq):
+def random_gate(rng, nq, kind=None):
     """X, RY or u on 1-2 targets with 0-3 controls of mixed polarity."""
-    kind = rng.choice(["x", "ry", "u"])
+    kind = kind or rng.choice(["x", "ry", "u"])
     n_targets = int(rng.integers(1, 3)) if kind == "u" and nq >= 2 else 1
     n_controls = int(rng.integers(0, min(3, nq - n_targets) + 1))
     qubits = [int(q) for q in rng.permutation(nq)[:n_targets + n_controls]]
@@ -490,10 +577,9 @@ def test_unitary_gate_step_matches_dense_conjugation():
         gate = random_gate(rng, nq)
         kinds.add((gate.kind, len(gate.targets), len(gate.controls)))
         rho = random_density(2 ** nq, rng)
-        sim = circuit._DensitySim(rho, list(range(nq)))
-        sim.apply(gate)
+        got, _ = apply_gate(rho, list(range(nq)), gate)
         g = dense_gate(gate, nq)
-        assert np.abs(sim.dense() - g @ rho @ g.conj().T).max() <= 1e-13
+        assert np.abs(got - g @ rho @ g.conj().T).max() <= 1e-13
     assert {("x", 1, c) for c in range(4)} <= kinds
     assert {("u", 2, c) for c in range(4)} <= kinds
 
@@ -508,6 +594,64 @@ def test_circuit_matrix_matches_dense_product():
             total = dense_gate(gate, nq) @ total
         got = circuit.circuit_matrix(Circuit({"q": tuple(range(nq))}, gates))
         assert np.abs(got - total).max() <= 1e-13
+
+
+def random_mux_run(rng, nq):
+    """u gates the compiler fuses into one multiplexor: the same targets and
+    control qubits (scattered, listed in a different order by each gate),
+    distinct control patterns of mixed polarity."""
+    k = int(rng.integers(1, min(2, nq - 1) + 1))
+    qubits = [int(q) for q in rng.permutation(nq)]
+    targets, ctrl = tuple(qubits[:k]), qubits[k:k + int(rng.integers(1, min(3, nq - k) + 1))]
+    patterns = rng.permutation(2 ** len(ctrl))[:int(rng.integers(2, 2 ** len(ctrl) + 1))]
+    run = []
+    for p in patterns:
+        controls = [(q, (int(p) >> b) & 1) for b, q in enumerate(ctrl)]
+        run.append(Gate("u", targets, tuple(controls[i] for i in rng.permutation(len(ctrl))),
+                        matrix=haar_unitary(2 ** k, rng)))
+    return run
+
+
+def random_fusable_circuit(rng, nq):
+    """Lone gates of every kind mixed with X runs and multiplexor runs."""
+    gates = []
+    for _ in range(int(rng.integers(2, 6))):
+        choice = int(rng.integers(3)) if nq >= 2 else 0
+        if choice == 0:
+            gates.append(random_gate(rng, nq))
+        elif choice == 1:
+            gates += [random_gate(rng, nq, "x") for _ in range(int(rng.integers(2, 5)))]
+        else:
+            gates += random_mux_run(rng, nq)
+    return gates
+
+
+def test_circuit_matrix_equals_per_gate_oracle_bitwise():
+    rng = np.random.default_rng(35)
+    fused = 0
+    for _ in range(60):
+        nq = int(rng.integers(1, 7))
+        c = Circuit({"q": tuple(range(nq))}, random_fusable_circuit(rng, nq))
+        fused += len(compiled.compile_gates(c.gates, range(nq), set(range(nq)), False).ops) \
+            < len(c.gates)
+        assert np.array_equal(circuit.circuit_matrix(c), oracles.circuit_matrix(c))
+    assert fused >= 30
+
+
+def test_fused_runs_on_a_density_match_dense_conjugation():
+    # off the walk the ket and bra sides of two patterns may round in another
+    # order than gate by gate, so this compares with the dense product
+    rng = np.random.default_rng(36)
+    for _ in range(60):
+        nq = int(rng.integers(1, 6))
+        gates = random_fusable_circuit(rng, nq)
+        rho = random_density(2 ** nq, rng)
+        plan = compiled.compile_gates(gates, list(range(nq)), set(range(nq)))
+        got = plan.run(rho.reshape((2,) * (2 * nq))).reshape(2 ** nq, 2 ** nq)
+        total = np.eye(2 ** nq, dtype=complex)
+        for gate in gates:
+            total = dense_gate(gate, nq) @ total
+        assert np.abs(got - total @ rho @ total.conj().T).max() <= 1e-13
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
@@ -534,12 +678,11 @@ def test_measurement_step_matches_dense_projectors():
     for nq in range(1, 7):
         for q in range(nq):
             rho = random_density(2 ** nq, rng)
-            sim = circuit._DensitySim(rho, list(range(nq)))
-            sim.apply(Gate("measure_nonsel", (q,)))
+            got, _ = apply_gate(rho, list(range(nq)), Gate("measure_nonsel", (q,)))
             want = sum(p @ rho @ p for p in (
                 dense_embed(np.diag([1.0, 0.0]).astype(complex), [q], nq),
                 dense_embed(np.diag([0.0, 1.0]).astype(complex), [q], nq)))
-            assert np.abs(sim.dense() - want).max() <= 1e-13
+            assert np.abs(got - want).max() <= 1e-13
 
 
 def test_reset_step_matches_dense_kraus_operators():
@@ -547,28 +690,26 @@ def test_reset_step_matches_dense_kraus_operators():
     for nq in range(1, 7):
         for q in range(nq):
             rho = random_density(2 ** nq, rng)
-            sim = circuit._DensitySim(rho, list(range(nq)))
-            sim.apply(Gate("reset", (q,)))
+            got, live = apply_gate(rho, list(range(nq)), Gate("reset", (q,)))
             kraus = [dense_embed(np.outer([1.0, 0.0], e).astype(complex), [q], nq)
                      for e in np.eye(2)]
             want = sum(k @ rho @ k.conj().T for k in kraus)
             # reset re-attaches the qubit last in the live order
-            assert sim.live == [p for p in range(nq) if p != q] + [q]
-            order = sim.live + [p + nq for p in sim.live]
+            assert live == [p for p in range(nq) if p != q] + [q]
+            order = live + [p + nq for p in live]
             want = want.reshape((2,) * (2 * nq)).transpose(order).reshape(2 ** nq, 2 ** nq)
-            assert np.abs(sim.dense() - want).max() <= 1e-13
+            assert np.abs(got - want).max() <= 1e-13
 
 
 def test_gate_on_a_new_qubit_attaches_it_as_zero():
     rng = np.random.default_rng(34)
     rho = random_density(8, rng)
     gate = Gate("u", (3, 1), ((0, 0),), matrix=haar_unitary(4, rng))
-    sim = circuit._DensitySim(rho, [0, 1, 2])
-    sim.apply(gate)
-    assert sim.live == [0, 1, 2, 3]
+    got, live = apply_gate(rho, [0, 1, 2], gate)
+    assert live == [0, 1, 2, 3]
     g = dense_gate(gate, 4)
     want = g @ np.kron(rho, np.diag([1.0, 0.0])) @ g.conj().T
-    assert np.abs(sim.dense() - want).max() <= 1e-13
+    assert np.abs(got - want).max() <= 1e-13
 
 
 # --- cost model ------------------------------------------------------------------

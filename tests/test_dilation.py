@@ -441,3 +441,59 @@ def test_resource_rejects_unknown_method():
 def test_dilation_unitary_validation():
     with pytest.raises(ValueError, match="unitary"):
         dilation.DilationUnitary(np.diag([1.0, 0.5]), (2,), "local")
+
+
+# --- the block-wise unitarity check of the locality dilations ---------------------
+
+def u_loc_entries(chain):
+    """The blocks of ``build_u_loc``: (source, target, level_in, level_out, U)."""
+    n, d = chain.n_nodes, chain.walker_dim
+    entries = [(i, i + 1, 1, 1, chain.unitaries[i]) for i in range(n - 1)]
+    entries += [(i, i - 1, 0, 0, chain.unitaries[i - 1].conj().T) for i in range(1, n)]
+    return entries + [(n - 1, n - 1, 1, 0, np.eye(d)), (0, 0, 0, 1, np.eye(d))]
+
+
+def dense_assembly(dims, entries):
+    """Reference: the blocks written into a dense matrix with no check."""
+    u = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    for source, target, level_in, level_out, op in entries:
+        u.reshape(dims * 2)[:, target, level_out, :, source, level_in] = op
+    return u
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (5, 3), (8, 2), (16, 4)])
+def test_block_check_accepts_what_the_dense_check_accepts(n, d):
+    chain = random_chain(n, 0.6, np.random.default_rng(400 + n), dim=d)
+    dil = dilation._locality_unitary((d, n, 2), u_loc_entries(chain), "local")
+    assert np.array_equal(dil.matrix, dense_assembly((d, n, 2), u_loc_entries(chain)))
+    assert is_unitary(dil.matrix, dilation.UNITARY_TOL)
+    assert np.array_equal(dil.matrix, dilation.build_u_loc(chain).matrix)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (5, 3), (8, 2)])
+def test_block_check_rejects_a_non_unitary_block(n, d):
+    chain = random_chain(n, 0.6, np.random.default_rng(410 + n), dim=d)
+    entries = u_loc_entries(chain)
+    source, target, level_in, level_out, op = entries[n // 2]
+    entries[n // 2] = (source, target, level_in, level_out, op * (1 + 1e-9))
+    assert not is_unitary(dense_assembly((d, n, 2), entries), dilation.UNITARY_TOL)
+    with pytest.raises(ValueError, match=rf"not unitary: block \({source}, {level_in}\)"):
+        dilation._locality_unitary((d, n, 2), entries, "local")
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (5, 3), (8, 2)])
+def test_block_check_rejects_two_blocks_with_one_output(n, d):
+    chain = random_chain(n, 0.6, np.random.default_rng(420 + n), dim=d)
+    entries = u_loc_entries(chain)
+    # the right boundary's hold now lands on node n-1, level 1, where the
+    # move from node n-2 already lands
+    source, _, level_in, _, op = entries[-2]
+    entries[-2] = (source, n - 1, level_in, 1, op)
+    assert not is_unitary(dense_assembly((d, n, 2), entries), dilation.UNITARY_TOL)
+    with pytest.raises(ValueError, match="one to one"):
+        dilation._locality_unitary((d, n, 2), entries, "local")
+
+
+def test_directly_built_locality_dilation_keeps_the_dense_check():
+    with pytest.raises(ValueError, match="not unitary"):
+        dilation.DilationUnitary(np.diag([1.0, 0.5, 1.0, 1.0]), (1, 2, 2), "local")

@@ -139,6 +139,37 @@ def test_trace_distance_dim_mismatch():
         trace_distance(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 5, 16, 64])
+def test_stacked_trace_distance_equals_per_block_calls_bitwise(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    a = np.stack([random_density(d, rng) / n for _ in range(n)])
+    b = np.stack([random_density(d, rng) / n for _ in range(n)])
+    b[0] = a[0]
+    got = trace_distance(a, b)
+    assert got.shape == (n,)
+    assert np.array_equal(got, [trace_distance(x, y) for x, y in zip(a, b)])
+    assert got[0] == 0.0
+    grid = trace_distance(a.reshape(1, n, d, d), b.reshape(1, n, d, d))
+    assert np.array_equal(grid, got.reshape(1, n))
+
+
+def test_stacked_trace_distance_checks_every_block():
+    rng = np.random.default_rng(4)
+    a = np.stack([random_density(3, rng) for _ in range(5)])
+    b = a.copy()
+    b[3, 0, 1] += 1e-6            # one block no longer Hermitian
+    with pytest.raises(ValueError, match="Hermitian"):
+        trace_distance(a, b)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        trace_distance(a, a[:4])
+    with pytest.raises(ValueError, match="Hermitian"):
+        trace_distance(np.zeros((5, 2, 3)), np.zeros((5, 2, 3)))
+    with pytest.raises(ValueError, match="2-D matrix"):
+        trace_distance(np.zeros(3), np.zeros(3))
+    assert trace_distance(a[:0], a[:0]).shape == (0,)
+
+
 def test_complete_isometry_basis_column():
     v = np.zeros((4, 1), dtype=complex)
     v[0, 0] = 1.0

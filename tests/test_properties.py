@@ -3,8 +3,9 @@ per-node loop, against its matrix and against exact block evolution, and
 ``oqw steady`` against the per-node loop, the walk kernel against the
 per-edge loop it replaced, trace and positivity under evolution, the
 dense <-> diagonal boundary shared by the dilation and circuit routes,
-the agreement of the exact, dilation and circuit steps, and the analytic
-against the iterated channel limit."""
+the agreement of the exact, dilation and circuit steps, the fused circuit
+simulator against the per-gate one, and the analytic against the iterated
+channel limit."""
 
 import io
 from contextlib import redirect_stdout
@@ -25,6 +26,7 @@ from oqwalk.matrixkit import (
     random_pure_state,
     trace_distance,
 )
+import oracles
 from oracles import transition_matrix
 
 sizes = st.integers(min_value=2, max_value=40)
@@ -191,6 +193,29 @@ def test_step_equals_dilation_equals_circuit(n, omega, d, steps, data):
         for i in range(n):
             assert trace_distance(direct.block(i), via_dil.block(i)) <= 1e-10
             assert trace_distance(direct.block(i), via_circ.block(i)) <= 1e-10
+
+
+def walk_qubits(n, d):
+    """Live qubits of a simulated walk: walker, node and one ancilla pair."""
+    return max(1, (d - 1).bit_length()) + max(1, (n - 1).bit_length()) + 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=sizes, d=st.integers(1, 4), order=st.sampled_from(["rb-lb", "lb-rb"]),
+       policy=st.sampled_from(["reuse", "fresh"]), data=st.data())
+def test_fused_simulation_equals_per_gate_oracle_bitwise(n, d, order, policy, data):
+    # every step costs 4^qubits; keep the 10-qubit walks to one step
+    most = {10: 1, 9: 2}.get(walk_qubits(n, d), 5)
+    steps = data.draw(st.integers(1, most))
+    rng = np.random.default_rng(data.draw(seeds))
+    chain = core.LinearChainSpec(n, data.draw(omegas),
+                                 [haar_unitary(d, rng) for _ in range(n - 1)])
+    state = random_state(rng, n, d)
+    walk = circuit.build_walk(chain, steps, policy, order)
+    got = circuit.simulate_density(walk, state, chain.omega)
+    want = oracles.simulate_density(walk, state, chain.omega)
+    for i in range(n):
+        assert np.array_equal(got.block(i), want.block(i))
 
 
 # --- the walk kernel ---------------------------------------------------------
