@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,3 +355,20 @@ def test_evolve_from_a_node_outside_the_walk_fails_before_stepping():
     spec = core.chain_to_spec(random_chain(4, 0.6, rng))
     with pytest.raises(ValueError, match="block key -1 is not a node"):
         core.evolve(spec, core.DiagonalState.pure([1, 0], -1, 4), 2)
+
+
+def test_evolve_keeps_large_walkers_out_of_superoperator_memory():
+    # a d = 16 chain as superoperators would hold E·d⁴ complex entries,
+    # 16 MiB here; the (B, B†) pair it keeps is 1/128 of that
+    n, d = 8, 16
+    rng = np.random.default_rng(17)
+    spec = core.chain_to_spec(random_chain(n, 0.6, rng, dim=d))
+    state = core.DiagonalState.pure(random_pure_state(d, rng), 0, n)
+    superoperators = len(spec.jumps) * d ** 4 * 16
+    tracemalloc.start()
+    try:
+        core.evolve(spec, state, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < superoperators / 16

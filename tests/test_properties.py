@@ -259,10 +259,14 @@ def start_state(rng, n, d, pure):
     return random_state(rng, n, d)
 
 
-def assert_matches_loop(spec, state, steps):
-    expected = state
+def loop_evolve(spec, state, steps):
     for _ in range(steps):
-        expected = loop_step(spec, expected)
+        state = loop_step(spec, state)
+    return state
+
+
+def assert_matches_loop_bitwise(spec, state, steps):
+    expected = loop_evolve(spec, state, steps)
     out = core.evolve(spec, state, steps)
     for i in range(spec.n_nodes):
         assert np.array_equal(out.block(i), expected.block(i))
@@ -272,23 +276,68 @@ def assert_matches_loop(spec, state, steps):
         [p + 0.0 for p in core.node_distribution(expected)])
 
 
+# the superoperator product (d <= 4) reassociates each B rho B† sum; on
+# normalized states every entry stays within this of the loop's
+SUPEROPERATOR_TOL = 1e-14
+
+
+def assert_matches_loop_within_tol(spec, state, steps):
+    expected = loop_evolve(spec, state, steps)
+    out = core.evolve(spec, state, steps)
+    for i in range(spec.n_nodes):
+        assert np.abs(out.block(i) - expected.block(i)).max() <= SUPEROPERATOR_TOL
+
+
 @FEW
 @given(n=st.integers(2, 64), omega=omegas, d=st.sampled_from([1, 2, 3, 4]),
        pure=st.booleans(), steps=st.integers(1, 60), seed=seeds)
-def test_evolve_equals_edge_loop_bitwise_on_chains(n, omega, d, pure, steps, seed):
+def test_evolve_matches_edge_loop_within_tol_on_chains(n, omega, d, pure, steps, seed):
     rng = np.random.default_rng(seed)
     chain = core.LinearChainSpec(n, omega, [haar_unitary(d, rng) for _ in range(n - 1)])
-    assert_matches_loop(core.chain_to_spec(chain), start_state(rng, n, d, pure), steps)
+    assert_matches_loop_within_tol(core.chain_to_spec(chain), start_state(rng, n, d, pure),
+                                   steps)
 
 
 @FEW
 @given(kind=st.sampled_from(["complete", "circulant"]), n=st.integers(5, 9),
-       d=st.sampled_from([1, 2, 3]), pure=st.booleans(), steps=st.integers(1, 30),
+       d=st.sampled_from([1, 2, 3, 4]), pure=st.booleans(), steps=st.integers(1, 30),
        seed=seeds)
-def test_evolve_equals_edge_loop_bitwise_on_generic_specs(kind, n, d, pure, steps, seed):
+def test_evolve_matches_edge_loop_within_tol_on_generic_specs(kind, n, d, pure, steps, seed):
     rng = np.random.default_rng(seed)
     spec = (complete_kraus_spec if kind == "complete" else circulant_spec)(rng, n, d)
-    assert_matches_loop(spec, start_state(rng, n, d, pure), steps)
+    assert_matches_loop_within_tol(spec, start_state(rng, n, d, pure), steps)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["chain", "circulant"]), n=st.integers(3, 24), omega=omegas,
+       d=st.sampled_from([5, 6]), pure=st.booleans(), steps=st.integers(1, 30), seed=seeds)
+def test_evolve_equals_edge_loop_bitwise_for_large_walkers(kind, n, omega, d, pure, steps,
+                                                           seed):
+    # walkers above SUPEROPERATOR_MAX_DIM keep the two batched d×d products
+    rng = np.random.default_rng(seed)
+    if kind == "chain":
+        chain = core.LinearChainSpec(n, omega, [haar_unitary(d, rng) for _ in range(n - 1)])
+        spec = core.chain_to_spec(chain)
+    else:
+        spec = circulant_spec(rng, n, d)
+    assert_matches_loop_bitwise(spec, start_state(rng, n, d, pure), steps)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_compiled_superoperator_applies_b_rho_b_dagger(d):
+    # complete_kraus_spec's jumps are isometry blocks, neither unitary nor
+    # Hermitian, so a transposed or unconjugated factor would show
+    rng = np.random.default_rng(40 + d)
+    spec = complete_kraus_spec(rng, 4, d)
+    position, sources, ops, ranks = spec._compiled
+    assert len(ops) == 1 and ops[0].shape == (16, d * d, d * d)
+    node = np.argsort(position)
+    rho = random_density(d, rng) + 0.3j * rng.standard_normal((d, d))
+    for start, stop in ranks:
+        for k in range(start, stop):
+            b = spec.jumps[(node[sources[k]], node[k - start])]
+            got = (ops[0][k] @ rho.reshape(-1)).reshape(d, d)
+            assert np.abs(got - b @ rho @ b.conj().T).max() <= SUPEROPERATOR_TOL
 
 
 def assert_trace_and_positivity(spec, state, steps):
