@@ -197,9 +197,6 @@ def cmd_verify(args) -> str:
     dil = dilation.build_u_loc(chain)
     step_circ = circuit.build_step(chain)
 
-    def blocks(state, n=chain.n_nodes):
-        return np.stack([state.block(i) for i in range(n)])
-
     direct, via_dil, via_circ = initial, initial, initial
     per_step, first_two = [], []
     for k in range(1, steps + 1):
@@ -208,9 +205,8 @@ def cmd_verify(args) -> str:
             first_two.append(direct)
         via_dil = dilation.step_via_dilation(dil, via_dil, chain.omega)
         via_circ = circuit.simulate_density(step_circ, via_circ, chain.omega)
-        want = blocks(direct)
-        d_dil = float(trace_distance(want, blocks(via_dil)).max())
-        d_circ = float(trace_distance(want, blocks(via_circ)).max())
+        d_dil = float(trace_distance(direct.blocks, via_dil.blocks).max())
+        d_circ = float(trace_distance(direct.blocks, via_circ.blocks).max())
         per_step.append({"step": k, "dilation": d_dil, "circuit": d_circ})
     worst_dil = max(e["dilation"] for e in per_step)
     worst_circ = max(e["circuit"] for e in per_step)
@@ -221,7 +217,7 @@ def cmd_verify(args) -> str:
               "per_step": per_step}
     if chain.n_nodes == 2 and steps >= 2:
         one, two = first_two
-        report["stabilization_delta"] = float(trace_distance(blocks(one), blocks(two)).max())
+        report["stabilization_delta"] = float(trace_distance(one.blocks, two.blocks).max())
     text = json.dumps(report, indent=1) + "\n"
     if not report["pass"]:
         raise NumericError(text)

@@ -83,9 +83,8 @@ class OqwSpec:
             arrivals.setdefault(j, []).append((i, asmatrix(b)))
         order = sorted(arrivals, key=lambda j: len(arrivals[j]), reverse=True)
         order += [j for j in range(self.n_nodes) if j not in arrivals]
-        position = [0] * self.n_nodes
-        for k, j in enumerate(order):
-            position[j] = k
+        position = np.empty(self.n_nodes, dtype=np.intp)
+        position[order] = np.arange(self.n_nodes)
         edges, ranks = [], []
         for r in range(max(map(len, arrivals.values()))):
             targets = [j for j in order if len(arrivals.get(j, ())) > r]
@@ -103,21 +102,30 @@ class OqwSpec:
         return position, sources, ops, tuple(ranks)
 
 
-@dataclass
+@dataclass(eq=False)
 class DiagonalState:
     """Diagonal-form state: one unnormalized PSD block per node.
 
-    Blocks missing from the map are zero. Keys are nodes 0..n_nodes-1 and
-    all blocks are square of one size, checked at construction. Total trace
-    should be 1 for a normalized state.
+    ``blocks`` is one (n_nodes, d, d) complex array in node order, +0.0
+    where a node holds no mass; an array passed in is only shape-checked.
+    The public input form, a dict from node to block, is converted once:
+    keys are nodes 0..n_nodes-1, blocks square of one size, absent nodes
+    zero, and an empty dict leaves the walker dimension unknown. States
+    compare by identity. Total trace should be 1 for a normalized state.
     """
 
     n_nodes: int
-    blocks: dict = field(default_factory=dict)
+    blocks: np.ndarray = field(default_factory=dict)
 
     def __post_init__(self):
+        blocks = self.blocks
+        if not isinstance(blocks, dict):
+            shape = np.shape(blocks)
+            if len(shape) != 3 or shape[0] != self.n_nodes or shape[1] != shape[2]:
+                raise ValueError(f"blocks have shape {shape}, expected ({self.n_nodes}, d, d)")
+            return
         first = None
-        for i, b in self.blocks.items():
+        for i, b in blocks.items():
             if not isinstance(i, (int, np.integer)) or not 0 <= i < self.n_nodes:
                 raise ValueError(f"block key {i!r} is not a node in 0..{self.n_nodes - 1}")
             shape = np.shape(b)
@@ -128,28 +136,33 @@ class DiagonalState:
             elif shape != first[1]:
                 raise ValueError(f"block {i} has shape {shape}, but block {first[0]} "
                                  f"has shape {first[1]}")
+        d = first[1][0] if first else 0
+        self.blocks = np.zeros((self.n_nodes, d, d), dtype=complex)
+        self.blocks[list(blocks)] = list(blocks.values())
 
     def block(self, i: int) -> np.ndarray:
-        if i in self.blocks:
-            return self.blocks[i]
-        return np.zeros((self.walker_dim,) * 2, dtype=complex)
+        self.walker_dim    # raises for an empty state, which has no blocks
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < self.n_nodes:
+            raise ValueError(f"node {i!r} is not in 0..{self.n_nodes - 1}")
+        return self.blocks[i]
 
     @property
     def walker_dim(self) -> int:
-        if not self.blocks:
+        if not self.blocks.shape[1]:
             raise ValueError("state has no blocks, so its walker dimension is unknown")
-        return next(iter(self.blocks.values())).shape[0]
+        return self.blocks.shape[1]
 
     def total_trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.blocks.values()))
+        return float(sum(node_distribution(self)))    # added in node order
 
     def validate(self, tol: float = CONSTRUCTION_TOL) -> None:
         if abs(self.total_trace() - 1.0) > tol:
             raise ValueError(f"state trace {self.total_trace()} is not 1")
-        for i, b in self.blocks.items():
-            lo = np.linalg.eigvalsh((b + b.conj().T) / 2).min()
-            if lo < -tol:
-                raise ValueError(f"block {i} is not PSD (min eigenvalue {lo:.3e})")
+        b = self.blocks
+        lows = np.linalg.eigvalsh((b + b.conj().transpose(0, 2, 1)) / 2).min(axis=1)
+        bad = np.flatnonzero(lows < -tol)
+        if bad.size:
+            raise ValueError(f"block {bad[0]} is not PSD (min eigenvalue {lows[bad[0]]:.3e})")
 
     @staticmethod
     def pure(psi, node: int, n_nodes: int) -> "DiagonalState":
@@ -164,14 +177,14 @@ class DiagonalState:
         if dw < d or dn < n:
             raise ValueError(f"state dims {(d, n)} do not fit register dims {(dw, dn)}")
         tensor = np.zeros((dw, dn, dw, dn), dtype=complex)
-        for i, b in self.blocks.items():
-            tensor[:d, i, :d, i] = b
+        np.einsum("aibi->iab", tensor)[:n, :d, :d] = self.blocks   # a view of the node diagonal
         return tensor.reshape(dw * dn, dw * dn)
 
     @staticmethod
     def from_dense(rho, n_nodes: int, walker_dim: int, dims: tuple | None = None,
                    trace: float | None = None) -> "DiagonalState":
-        """Blocks of a dense walker ⊗ node matrix laid out as by ``to_dense``.
+        """The node-diagonal blocks of a dense walker ⊗ node matrix laid out as
+        by ``to_dense``, copied into one (n, d, d) array.
 
         The check that a state is still in diagonal form: raises if a
         cross-node entry exceeds 1e-10 or, given the input state's
@@ -186,15 +199,10 @@ class DiagonalState:
             raise RuntimeError(f"node register left the diagonal form "
                                f"(off-diagonal residue {residue:.3e})")
         d = walker_dim
-        stack = np.ascontiguousarray(
-            np.diagonal(tensor, axis1=1, axis2=3)[:d, :d, :n_nodes].transpose(2, 0, 1))
-        # one (n, d, d) stack: the constructor's per-block key and shape
-        # checks hold by construction, so the blocks are set after it
-        out = DiagonalState(n_nodes)
-        out.blocks = dict(enumerate(stack))
+        diagonal = np.diagonal(tensor, axis1=1, axis2=3)[:d, :d, :n_nodes]
+        out = DiagonalState(n_nodes, diagonal.transpose(2, 0, 1).copy())
         if trace is not None:
-            # the block traces added in node order, as total_trace adds them
-            leaked = abs(sum(stack.trace(axis1=1, axis2=2).real.tolist()) - trace)
+            leaked = abs(out.total_trace() - trace)
             if leaked > 1e-9:
                 raise RuntimeError(f"probability leaked into padded sectors ({leaked:.3e})")
         return out
@@ -266,15 +274,15 @@ def step(spec: OqwSpec, state: DiagonalState) -> DiagonalState:
 def evolve(spec: OqwSpec, state: DiagonalState, n: int) -> DiagonalState:
     """n walk steps; n = 0 returns the input unchanged.
 
-    The blocks are copied once into an (N, d, d) array, absent nodes as
-    zeros. Each step forms every edge's B rho B† in one batched product and
-    adds the products into zeros rank by rank (``OqwSpec._compiled``), so
-    each node's terms are summed in ``jumps`` order. For d <= 4 the product
-    is one matvec per edge, its superoperator times the (d², 1) row-major
-    vector of rho: this agrees with B rho B† to roundoff (within 1e-14 on
-    normalized states), not bit for bit. Larger walkers take ``B @ rho @ B†``
-    as two batched products. The result holds every node's block, +0.0
-    where nothing arrived, or no block when the spec has no edges.
+    The blocks are scattered once into the compiled node order, and gathered
+    back once at the end. Each step forms every edge's B rho B† in one
+    batched product and adds the products into zeros rank by rank
+    (``OqwSpec._compiled``), so each node's terms are summed in ``jumps``
+    order. For d <= 4 the product is one matvec per edge, its superoperator
+    times the (d², 1) row-major vector of rho: this agrees with B rho B† to
+    roundoff (within 1e-14 on normalized states), not bit for bit. Larger
+    walkers take ``B @ rho @ B†`` as two batched products. The result holds
+    every node's block, +0.0 where nothing arrived.
     """
     if n < 0:
         raise ValueError("step count must be non-negative")
@@ -286,11 +294,10 @@ def evolve(spec: OqwSpec, state: DiagonalState, n: int) -> DiagonalState:
     if d != spec.walker_dim:
         raise ValueError(f"state walker dim {d} != spec dim {spec.walker_dim}")
     if not spec.jumps:
-        return DiagonalState(spec.n_nodes, {})
+        return DiagonalState(spec.n_nodes, np.zeros((spec.n_nodes, d, d), dtype=complex))
     position, sources, ops, ranks = spec._compiled
-    x = np.zeros((spec.n_nodes, d, d), dtype=complex)
-    for i, b in state.blocks.items():
-        x[position[i]] = b
+    x = np.empty((spec.n_nodes, d, d), dtype=complex)
+    x[position] = state.blocks
     if len(ops) == 1:
         x = x.reshape(spec.n_nodes, d * d, 1)
     for _ in range(n):
@@ -300,13 +307,12 @@ def evolve(spec: OqwSpec, state: DiagonalState, n: int) -> DiagonalState:
         x = np.zeros(x.shape, dtype=complex)
         for start, stop in ranks:
             x[:stop - start] += terms[start:stop]
-    x = x.reshape(spec.n_nodes, d, d)
-    return DiagonalState(spec.n_nodes, {i: x[k] for i, k in enumerate(position)})
+    return DiagonalState(spec.n_nodes, x.reshape(spec.n_nodes, d, d)[position])
 
 
 def node_distribution(state: DiagonalState) -> list:
     """Per-node occupation probabilities Tr(rho_i), one entry per node."""
-    return [float(np.trace(state.block(i)).real) for i in range(state.n_nodes)]
+    return state.blocks.trace(axis1=1, axis2=2).real.tolist()
 
 
 def chain_jumps(omega: float, unitaries) -> dict:

@@ -36,11 +36,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(asmatrix(a), asmatrix(b))
 
 
-def is_hermitian(a, tol: float = 1e-8) -> bool:
-    a = asmatrix(a)
-    return a.shape[0] == a.shape[1] and np.abs(a - a.conj().T).max() <= tol
-
-
 def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``max |u†u - I|`` is at most ``tol``. Rejects non-square input."""
     u = asmatrix(u)

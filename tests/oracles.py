@@ -12,6 +12,11 @@ unitary of a circuit agrees bit for bit, and so does the density of a walk,
 whose node register stays diagonal; on a state with coherence between two
 patterns of a multiplexor the fused op may apply their ket and bra sides in
 the other order, which rounds differently.
+
+The per-block loops of ``core.DiagonalState``, which once held a dict from
+node to block and now holds one (N, d, d) array: its traces, dense matrix
+and PSD check taken one block at a time. They do the same arithmetic per
+block, so the array forms agree with them bit for bit.
 """
 
 import numpy as np
@@ -40,6 +45,38 @@ def power_iterate(t: np.ndarray, dist, n_steps: int) -> np.ndarray:
     for _ in range(n_steps):
         dist = t @ dist
     return dist
+
+
+# --- the per-block state loops ----------------------------------------------------
+
+def block_traces(state) -> list:
+    """Tr(rho_i) for each node, one ``np.trace`` per block."""
+    return [float(np.trace(state.block(i)).real) for i in range(state.n_nodes)]
+
+
+def total_trace(state) -> float:
+    """The block traces added one by one in node order."""
+    return float(sum(np.trace(b).real for b in state.blocks))
+
+
+def to_dense(state, dims=None) -> np.ndarray:
+    """``DiagonalState.to_dense`` written block by block."""
+    d, n = state.walker_dim, state.n_nodes
+    dw, dn = dims or (d, n)
+    tensor = np.zeros((dw, dn, dw, dn), dtype=complex)
+    for i in range(n):
+        tensor[:d, i, :d, i] = state.block(i)
+    return tensor.reshape(dw * dn, dw * dn)
+
+
+def first_non_psd(state, tol: float):
+    """(node, min eigenvalue) of the first block below -tol, or None."""
+    for i in range(state.n_nodes):
+        b = state.block(i)
+        lo = np.linalg.eigvalsh((b + b.conj().T) / 2).min()
+        if lo < -tol:
+            return i, lo
+    return None
 
 
 # --- the per-gate density simulator ------------------------------------------------

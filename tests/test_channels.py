@@ -67,6 +67,13 @@ def test_postselect():
         channels.postselect(state, 1)
 
 
+@pytest.mark.parametrize("node", [7, -1])
+def test_postselect_rejects_a_node_outside_the_walk(node):
+    state = core.DiagonalState(3, {0: 0.5 * I2, 2: 0.5 * I2})
+    with pytest.raises(ValueError, match=r"is not in 0\.\.2"):
+        channels.postselect(state, node)
+
+
 @pytest.mark.parametrize("p,rho,expected", [
     (0.0, PLUS, PLUS),
     (1.0, PLUS, MINUS),

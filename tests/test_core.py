@@ -154,7 +154,7 @@ def test_positivity_preserved():
     spec = core.chain_to_spec(random_chain(4, 0.66, rng))
     state = random_diagonal_state(4, 2, rng)
     evolved = core.evolve(spec, state, 12)
-    for block in evolved.blocks.values():
+    for block in evolved.blocks:
         assert np.linalg.eigvalsh((block + block.conj().T) / 2).min() >= -1e-10
 
 
@@ -248,6 +248,19 @@ def test_empty_state_has_no_walker_dim():
         state.block(0)
 
 
+@pytest.mark.parametrize("node", [7, -1])
+def test_block_rejects_a_node_outside_the_walk(node):
+    state = core.DiagonalState.pure([1, 0], 0, 3)
+    with pytest.raises(ValueError, match=rf"^node {node} is not in 0\.\.2$"):
+        state.block(node)
+
+
+def test_states_compare_by_identity():
+    a = core.DiagonalState(2, {0: np.eye(2) / 2})
+    b = core.DiagonalState(2, {0: np.eye(2) / 2})
+    assert a == a and a != b
+
+
 def test_to_dense_rejects_registers_too_small():
     state = core.DiagonalState.pure([1.0, 0.0, 0.0], 0, 5)
     with pytest.raises(ValueError, match="do not fit"):
@@ -308,6 +321,12 @@ def test_state_rejects_blocks_that_are_not_square_matrices(block):
         core.DiagonalState(2, {0: np.eye(2), 1: block})
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 3), (3, 4), (3, 2, 2, 2)])
+def test_state_rejects_block_arrays_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"blocks have shape .*, expected \(3, d, d\)"):
+        core.DiagonalState(3, np.zeros(shape, dtype=complex))
+
+
 # --- kernel edge cases -------------------------------------------------------
 
 def test_step_mismatch_messages():
@@ -322,9 +341,10 @@ def test_step_mismatch_messages():
 def test_spec_without_edges_returns_an_empty_state():
     spec = core.OqwSpec(3, 2, {})
     state = core.DiagonalState.pure([1, 0], 1, 3)
-    assert core.step(spec, state).blocks == {}
-    out = core.evolve(spec, state, 3)
-    assert out.n_nodes == 3 and out.blocks == {}
+    for out in (core.step(spec, state), core.evolve(spec, state, 3)):
+        assert out.n_nodes == 3 and out.blocks.shape == (3, 2, 2)
+        assert not out.blocks.any()
+        assert not np.signbit(out.blocks.view(float)).any()
 
 
 def test_source_without_outgoing_edges_loses_its_mass():
@@ -343,7 +363,7 @@ def test_evolve_returns_every_node_with_positive_zeros():
     for omega in (0.6, 1.0):
         spec = core.chain_to_spec(random_chain(6, omega, rng))
         out = core.step(spec, core.DiagonalState.pure(random_pure_state(2, rng), 0, 6))
-        assert list(out.blocks) == list(range(6))
+        assert out.blocks.shape == (6, 2, 2)
         for i in range(2, 6):
             block = out.block(i)
             assert not block.any()

@@ -8,6 +8,7 @@ simulator against the per-gate one, and the analytic against the iterated
 channel limit."""
 
 import io
+import re
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -143,6 +144,60 @@ def test_dense_round_trip_qutrit_padded():
         assert np.array_equal(back.block(i), state.block(i))
 
 
+@pytest.mark.parametrize("n,d,dims", [(5, 3, (4, 8)), (5, 2, None), (33, 3, (4, 64)),
+                                      (33, 2, None), (1, 2, None)])
+def test_dense_round_trip_matches_the_block_loop(n, d, dims):
+    rng = np.random.default_rng(12 + n + d)
+    state = random_state(rng, n, d)
+    rho = state.to_dense(dims)
+    assert np.array_equal(rho, oracles.to_dense(state, dims))
+    back = core.DiagonalState.from_dense(rho, n, d, dims, trace=state.total_trace())
+    assert np.array_equal(back.blocks, state.blocks)
+    # the blocks are the state's own array, also where the diagonal slice of
+    # rho is already contiguous (one node, no padding)
+    assert back.blocks.flags.c_contiguous and back.blocks.flags.writeable
+    assert not np.shares_memory(back.blocks, rho)
+
+
+@FEW
+@given(n=st.integers(1, 40), d=st.integers(1, 9), data=st.data())
+def test_mapping_and_array_build_the_same_state(n, d, data):
+    rng = np.random.default_rng(data.draw(seeds))
+    occupied = sorted(set(data.draw(st.lists(st.integers(0, n - 1), min_size=1))))
+    mapping = {i: random_density(d, rng) / len(occupied) for i in occupied}
+    stack = np.zeros((n, d, d), dtype=complex)
+    for i, b in mapping.items():
+        stack[i] = b
+    from_map, from_array = core.DiagonalState(n, mapping), core.DiagonalState(n, stack)
+    assert np.array_equal(from_map.blocks, from_array.blocks)
+    empty = [i for i in range(n) if i not in mapping]
+    assert not np.signbit(from_map.blocks[empty].view(float)).any()
+    # node_distribution and total_trace against their per-block loops, bit
+    # for bit; d up to 9 reaches numpy's unrolled sums (8 terms and up)
+    for state in (from_map, from_array):
+        assert core.node_distribution(state) == oracles.block_traces(state)
+        assert state.total_trace() == oracles.total_trace(state)
+
+
+@FEW
+@given(n=st.integers(1, 12), d=st.integers(2, 4), data=st.data())
+def test_validate_reports_the_block_the_loop_finds(n, d, data):
+    rng = np.random.default_rng(data.draw(seeds))
+    state = random_state(rng, n, d)
+    # a traceless shift that leaves a negative eigenvalue and the trace at 1
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        state.blocks[i, 0, 0] += 2.0
+        state.blocks[i, 1, 1] -= 2.0
+    found = oracles.first_non_psd(state, core.CONSTRUCTION_TOL)
+    if found is None:
+        state.validate()
+    else:
+        node, lo = found
+        message = f"block {node} is not PSD (min eigenvalue {lo:.3e})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            state.validate()
+
+
 @FEW
 @given(n=st.integers(2, 12), d=st.integers(1, 4), padded=st.booleans(), data=st.data())
 def test_planted_cross_node_coherence_raises(n, d, padded, data):
@@ -224,11 +279,8 @@ def loop_step(spec, state):
     """The per-edge loop that the batched ``core.evolve`` kernel replaced."""
     out = {}
     for (i, j), b in spec.jumps.items():
-        rho_i = state.blocks.get(i)
-        if rho_i is None:
-            continue
         b = asmatrix(b)
-        contrib = b @ rho_i @ b.conj().T
+        contrib = b @ state.block(i) @ b.conj().T
         if j in out:
             out[j] += contrib
         else:
@@ -344,7 +396,7 @@ def assert_trace_and_positivity(spec, state, steps):
     for _ in range(steps):
         state = core.evolve(spec, state, 1)
         assert abs(state.total_trace() - 1.0) <= 1e-12
-        for block in state.blocks.values():
+        for block in state.blocks:
             assert np.linalg.eigvalsh((block + block.conj().T) / 2).min() >= -1e-10
 
 
