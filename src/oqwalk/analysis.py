@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# steps between the exact-repeat checks of ``iterate_master``
+CYCLE_CHECK = 64
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -106,6 +109,12 @@ def iterate_master(dist, p: ChainParams, n_steps: int) -> np.ndarray:
     Node m's two addends come from fixed source nodes with fixed
     coefficients, so a step gathers the 2N sources, scales them and adds
     the two halves, in buffers allocated once. The input is not changed.
+
+    A step is a fixed function of the bits of x (a gather, one IEEE multiply
+    and one add per entry, no fused or reordered arithmetic). So when x
+    repeats the bits it had ``CYCLE_CHECK`` steps earlier, its period
+    divides ``CYCLE_CHECK`` and only the remaining steps modulo
+    ``CYCLE_CHECK`` are run, with the same result as running them all.
     """
     if n_steps < 0:
         raise ValueError("step count must be non-negative")
@@ -120,10 +129,17 @@ def iterate_master(dist, p: ChainParams, n_steps: int) -> np.ndarray:
     coef = coef.reshape((2 * n,) + (1,) * (x.ndim - 1))
     terms = np.empty((2 * n,) + x.shape[1:])
     first, second = terms[:n], terms[n:]
-    for _ in range(n_steps):
-        x.take(src, axis=0, out=terms, mode="clip")   # in range; "clip" skips a copy
-        np.multiply(coef, terms, out=terms)
-        np.add(first, second, out=x)
+    earlier, left = x.view(np.int64).copy(), n_steps   # -0.0 and nan compared by bits
+    while left:
+        run = min(left, CYCLE_CHECK)
+        for _ in range(run):
+            x.take(src, axis=0, out=terms, mode="clip")   # in range; "clip" skips a copy
+            np.multiply(coef, terms, out=terms)
+            np.add(first, second, out=x)
+        left -= run
+        if np.array_equal(x.view(np.int64), earlier):   # a repeat: whole periods are no-ops
+            left %= CYCLE_CHECK
+        earlier[...] = x.view(np.int64)
     return x
 
 
@@ -191,22 +207,3 @@ def fit_loglog_slope(xs, ys) -> float:
     if not (np.all(x > 0) and np.all(y > 0)):
         raise ValueError("a log-log fit needs positive x and y values")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
-
-
-def distribution_csv(dist) -> str:
-    """CSV for a single node distribution: columns ``m, probability``."""
-    lines = ["m,probability"]
-    lines += [f"{m},{repr(float(p))}" for m, p in enumerate(np.asarray(dist, dtype=float))]
-    return "\n".join(lines) + "\n"
-
-
-def time_series_csv(series) -> str:
-    """CSV for distributions over time: columns ``n, node, probability``.
-
-    ``series`` is an iterable of (n, distribution) pairs.
-    """
-    lines = ["n,node,probability"]
-    for n, dist in series:
-        lines += [f"{n},{m},{repr(float(p))}"
-                  for m, p in enumerate(np.asarray(dist, dtype=float))]
-    return "\n".join(lines) + "\n"

@@ -84,12 +84,11 @@ def cmd_steady(args) -> str:
     params = analysis.ChainParams(args.N, _resolve_omega(args))
     start = np.zeros(args.N)
     start[0] = 1.0
-    simulated = analysis.iterate_master(start, params, args.steps)
-    closed = analysis.steady_state(params)
+    simulated = analysis.iterate_master(start, params, args.steps).tolist()
+    closed = analysis.steady_state(params).tolist()
     lines = ["m,simulated,closed_form,abs_diff"]
-    for m in range(args.N):
-        lines.append(f"{m},{_fmt(simulated[m])},{_fmt(closed[m])},"
-                     f"{_fmt(abs(simulated[m] - closed[m]))}")
+    lines += [f"{m},{s!r},{c!r},{abs(s - c)!r}"
+              for m, (s, c) in enumerate(zip(simulated, closed))]
     return "\n".join(lines) + "\n"
 
 
@@ -103,9 +102,8 @@ def cmd_profile(args) -> str:
     for n in sorted(grid):
         dist = analysis.iterate_master(dist, params, n - done)
         done = n
-        for m in range(args.N):
-            lines.append(f"{n},{m},{_fmt(dist[m])},"
-                         f"{_fmt(analysis.gaussian_profile(m, n, params))}")
+        lines += [f"{n},{m},{p!r},{analysis.gaussian_profile(m, n, params)!r}"
+                  for m, p in enumerate(dist.tolist())]
     return "\n".join(lines) + "\n"
 
 

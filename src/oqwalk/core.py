@@ -107,7 +107,8 @@ class DiagonalState:
     """Diagonal-form state: one unnormalized PSD block per node.
 
     ``blocks`` is one (n_nodes, d, d) complex array in node order, +0.0
-    where a node holds no mass; an array passed in is only shape-checked.
+    where a node holds no mass; an array passed in must be complex128 and
+    is kept as it is. A state has at least one node.
     The public input form, a dict from node to block, is converted once:
     keys are nodes 0..n_nodes-1, blocks square of one size, absent nodes
     zero, and an empty dict leaves the walker dimension unknown. States
@@ -118,8 +119,13 @@ class DiagonalState:
     blocks: np.ndarray = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n_nodes < 1:
+            raise ValueError("need at least one node")
         blocks = self.blocks
         if not isinstance(blocks, dict):
+            if getattr(blocks, "dtype", None) != complex:
+                raise ValueError(f"blocks must be a complex128 array, got "
+                                 f"{getattr(blocks, 'dtype', type(blocks).__name__)}")
             shape = np.shape(blocks)
             if len(shape) != 3 or shape[0] != self.n_nodes or shape[1] != shape[2]:
                 raise ValueError(f"blocks have shape {shape}, expected ({self.n_nodes}, d, d)")
@@ -200,7 +206,7 @@ class DiagonalState:
                                f"(off-diagonal residue {residue:.3e})")
         d = walker_dim
         diagonal = np.diagonal(tensor, axis1=1, axis2=3)[:d, :d, :n_nodes]
-        out = DiagonalState(n_nodes, diagonal.transpose(2, 0, 1).copy())
+        out = DiagonalState(n_nodes, diagonal.transpose(2, 0, 1).astype(complex, order="C"))
         if trace is not None:
             leaked = abs(out.total_trace() - trace)
             if leaked > 1e-9:

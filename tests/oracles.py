@@ -13,6 +13,13 @@ whose node register stays diagonal; on a state with coherence between two
 patterns of a multiplexor the fused op may apply their ket and bra sides in
 the other order, which rounds differently.
 
+The birth-death recursion run step by step, for ``analysis.iterate_master``,
+which skips whole periods once the state repeats bit for bit; it must agree
+bit for bit, and so must the ``oqw steady`` and ``oqw profile`` CSV, here
+formatted one numpy cell at a time. The channel limit checked after every
+step, for ``channels.iterate_limit``, which steps and checks in windows; it
+must give the same block, step count and errors.
+
 The per-block loops of ``core.DiagonalState``, which once held a dict from
 node to block and now holds one (N, d, d) array: its traces, dense matrix
 and PSD check taken one block at a time. They do the same arithmetic per
@@ -21,7 +28,8 @@ block, so the array forms agree with them bit for bit.
 
 import numpy as np
 
-from oqwalk import circuit, compiled, core
+from oqwalk import analysis, channels, circuit, compiled, core
+from oqwalk.matrixkit import trace_distance
 
 
 def transition_matrix(p) -> np.ndarray:
@@ -45,6 +53,78 @@ def power_iterate(t: np.ndarray, dist, n_steps: int) -> np.ndarray:
     for _ in range(n_steps):
         dist = t @ dist
     return dist
+
+
+def iterate_master(dist, p, n_steps: int) -> np.ndarray:
+    """``analysis.iterate_master`` running every one of the n_steps."""
+    x = np.array(dist, dtype=float)
+    n, w, lam = p.n_nodes, p.omega, p.lam
+    nodes = np.arange(n)
+    src = np.concatenate(([0], nodes[:-1], nodes[1:], [n - 1]))
+    coef = np.concatenate(([lam], np.full(n - 1, w), np.full(n - 1, lam), [w]))
+    coef = coef.reshape((2 * n,) + (1,) * (x.ndim - 1))
+    terms = np.empty((2 * n,) + x.shape[1:])
+    first, second = terms[:n], terms[n:]
+    for _ in range(n_steps):
+        x.take(src, axis=0, out=terms, mode="clip")
+        np.multiply(coef, terms, out=terms)
+        np.add(first, second, out=x)
+    return x
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def steady_csv(n: int, omega: float, steps: int) -> str:
+    """``oqw steady --N n --omega omega --steps steps``, cell by cell."""
+    params = analysis.ChainParams(n, omega)
+    simulated = iterate_master(np.eye(n)[0], params, steps)
+    closed = analysis.steady_state(params)
+    lines = ["m,simulated,closed_form,abs_diff"]
+    for m in range(n):
+        lines.append(f"{m},{_fmt(simulated[m])},{_fmt(closed[m])},"
+                     f"{_fmt(abs(simulated[m] - closed[m]))}")
+    return "\n".join(lines) + "\n"
+
+
+def profile_csv(n_nodes: int, omega: float, grid) -> str:
+    """``oqw profile`` over the step counts in ``grid``, cell by cell."""
+    params = analysis.ChainParams(n_nodes, omega)
+    lines = ["n,m,P_master,P_gaussian"]
+    for n in grid:
+        dist = iterate_master(np.eye(n_nodes)[0], params, n)
+        for m in range(n_nodes):
+            lines.append(f"{n},{m},{_fmt(dist[m])},"
+                         f"{_fmt(analysis.gaussian_profile(m, n, params))}")
+    return "\n".join(lines) + "\n"
+
+
+def iterate_limit(real, max_steps: int = 2000, tol: float = 1e-12) -> tuple:
+    """``channels.iterate_limit`` stepping, post-selecting and comparing once
+    per step."""
+    state = core.evolve(real.spec, real.initial, 1)
+    first = 1
+    while first < max_steps and np.trace(state.block(real.target_node)).real <= 1e-14:
+        state = core.step(real.spec, state)
+        first += 1
+    prev = channels.postselect(state, real.target_node)
+    quiet, n, delta = 0, first, float("nan")
+    for k in range(first + 1, max_steps + 1):
+        state = core.step(real.spec, state)
+        cur = channels.postselect(state, real.target_node)
+        delta = trace_distance(cur, prev)
+        if delta < tol:
+            if quiet == 0:
+                n = k - 1
+            quiet += 1
+            if quiet >= 3:
+                return cur, n
+        else:
+            quiet = 0
+        prev = cur
+    raise RuntimeError(f"no convergence within {max_steps} steps "
+                       f"(last delta {delta:.3e} vs tol {tol})")
 
 
 # --- the per-block state loops ----------------------------------------------------

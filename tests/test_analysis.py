@@ -195,15 +195,6 @@ def test_total_variation_and_kolmogorov():
     assert total_variation(p, p) == 0.0
 
 
-def test_distribution_csv():
-    from oqwalk.analysis import distribution_csv, time_series_csv
-    text = distribution_csv([0.25, 0.75])
-    assert text == "m,probability\n0,0.25\n1,0.75\n"
-    series = time_series_csv([(1, [1.0, 0.0]), (2, [0.5, 0.5])])
-    assert series.splitlines()[0] == "n,node,probability"
-    assert "2,1,0.5" in series
-
-
 def test_fit_loglog_slope_exact_power_law():
     xs = np.array([4, 8, 16, 32])
     assert abs(fit_loglog_slope(xs, 7.0 * xs ** 3) - 3.0) < 1e-12

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from oqwalk import cli
 from oqwalk.cli import main
+import oracles
 
 OMEGA_23 = "0.6666666666666666"
 
@@ -51,6 +53,36 @@ def test_steady_deterministic_bytes(capsys, tmp_path):
                      "--out", str(path)])
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 131])
+@pytest.mark.parametrize("omega", ["0.5", "1.0", "0.8", "0.123456789", OMEGA_23])
+@pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 1000, 4097])
+def test_steady_csv_equals_the_cell_by_cell_oracle(capsys, n, omega, steps):
+    code, out, _ = run(capsys, "steady", "--N", str(n), "--omega", omega, "--steps", str(steps))
+    assert code == 0
+    assert out == oracles.steady_csv(n, float(omega), steps)
+
+
+@pytest.mark.parametrize("n", [2, 7, 100])
+@pytest.mark.parametrize("omega", ["0.5", "1.0", "0.8", OMEGA_23])
+@pytest.mark.parametrize("steps", [None, 1, 64, 129])
+def test_profile_csv_equals_the_cell_by_cell_oracle(capsys, n, omega, steps):
+    argv = ["profile", "--N", str(n), "--omega", omega]
+    if steps is not None:
+        argv += ["--steps", str(steps)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    grid = [steps] if steps is not None else range(100, 501, 50)
+    assert out == oracles.profile_csv(n, float(omega), grid)
+
+
+def test_steady_returns_at_once_for_a_settled_chain(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "steady", "--N", "50", "--omega", "0.8",
+                       "--steps", "1000000000")
+    assert code == 0 and time.perf_counter() - start < 2.0
+    assert out == run(capsys, "steady", "--N", "50", "--omega", "0.8", "--steps", "5000")[1]
 
 
 def test_steady_requires_scalars(capsys):

@@ -327,6 +327,28 @@ def test_state_rejects_block_arrays_of_the_wrong_shape(shape):
         core.DiagonalState(3, np.zeros(shape, dtype=complex))
 
 
+@pytest.mark.parametrize("n_nodes", [0, -1])
+def test_state_rejects_fewer_than_one_node(n_nodes):
+    with pytest.raises(ValueError, match="^need at least one node$"):
+        core.DiagonalState(n_nodes, {})
+
+
+@pytest.mark.parametrize("blocks, kind", [(np.zeros((3, 2, 2), dtype=int), "int64"),
+                                          (np.zeros((3, 2, 2)), "float64"),
+                                          (np.zeros((3, 2, 2), dtype=np.complex64), "complex64"),
+                                          (np.zeros((3, 2, 2)).tolist(), "list")])
+def test_state_rejects_block_arrays_that_are_not_complex128(blocks, kind):
+    with pytest.raises(ValueError, match=f"^blocks must be a complex128 array, got {kind}$"):
+        core.DiagonalState(3, blocks)
+
+
+def test_from_dense_of_a_real_matrix_holds_complex_blocks():
+    rho = core.DiagonalState.pure([1.0, 0.0], 1, 3).to_dense().real
+    out = core.DiagonalState.from_dense(rho, 3, 2)
+    assert out.blocks.dtype == complex and out.blocks.flags.c_contiguous
+    assert core.node_distribution(out) == [0.0, 1.0, 0.0]
+
+
 # --- kernel edge cases -------------------------------------------------------
 
 def test_step_mismatch_messages():

@@ -1,14 +1,16 @@
 """Property tests over random chains: the birth-death kernel against the
-per-node loop, against its matrix and against exact block evolution, and
+per-node loop, against its step-by-step oracle (which never skips a
+repeating period), against its matrix and against exact block evolution, and
 ``oqw steady`` against the per-node loop, the walk kernel against the
 per-edge loop it replaced, trace and positivity under evolution, the
 dense <-> diagonal boundary shared by the dilation and circuit routes,
 the agreement of the exact, dilation and circuit steps, the fused circuit
-simulator against the per-gate one, and the analytic against the iterated
-channel limit."""
+simulator against the per-gate one, the analytic against the iterated
+channel limit, and the windowed channel limit against the per-step one."""
 
 import io
 import re
+import warnings
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -18,8 +20,16 @@ from hypothesis import strategies as st
 
 from oqwalk import circuit, core, dilation
 from oqwalk.cli import main
-from oqwalk.analysis import ChainParams, iterate_master, master_step
-from oqwalk.channels import coefficient_evolution, embed_random_unitary, limit_state
+from oqwalk.analysis import CYCLE_CHECK, ChainParams, iterate_master, master_step
+from oqwalk.channels import (
+    ChannelRealization,
+    coefficient_evolution,
+    dephasing_realization,
+    depolarizing_realization,
+    embed_random_unitary,
+    iterate_limit,
+    limit_state,
+)
 from oqwalk.matrixkit import (
     asmatrix,
     haar_unitary,
@@ -72,6 +82,48 @@ def test_iterate_master_equals_per_node_loop_bitwise(n, omega, steps, columns, s
     p = ChainParams(n, omega)
     dist = np.random.default_rng(seed).dirichlet(np.ones(n), size=columns).T
     assert np.array_equal(iterate_master(dist, p, steps), loop_iterate(dist, p, steps))
+
+
+# step counts just below, at and just above a multiple of CYCLE_CHECK (up to
+# 40 of them), where the repeat check runs
+cycle_steps = st.builds(lambda k, off: max(0, k * CYCLE_CHECK + off),
+                        st.integers(0, 40), st.integers(-1, 1))
+omegas_and_ends = st.one_of(st.sampled_from([0.5, 1.0]), omegas)
+
+
+def master_input(kind, n, rng):
+    if kind == "vector":
+        return rng.dirichlet(np.ones(n))
+    if kind == "signed":    # negative entries give -0.0, which must keep its bits
+        return rng.normal(size=n)
+    if kind == "matrix":
+        return rng.dirichlet(np.ones(n), size=3).T
+    return np.eye(n)
+
+
+@FEW
+@given(kind=st.sampled_from(["vector", "signed", "matrix", "identity"]),
+       omega=omegas_and_ends, steps=cycle_steps, data=st.data())
+def test_iterate_master_equals_stepwise_oracle_bitwise(kind, omega, steps, data):
+    # identity inputs are N x N, so they stay small enough to run every step
+    n = data.draw(st.integers(2, 64 if kind == "identity" else 300), label="n")
+    p = ChainParams(n, omega)
+    dist = master_input(kind, n, np.random.default_rng(data.draw(seeds, label="seed")))
+    got = iterate_master(dist, p, steps)
+    want = oracles.iterate_master(dist, p, steps)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+# chains that settle into a fixed point or a 2-cycle within 44 periods
+@pytest.mark.parametrize("n, omega", [(2, 0.5), (3, 1.0), (7, 0.3), (20, 0.5), (50, 0.8),
+                                      (100, 0.7)])
+@pytest.mark.parametrize("periods, off", [(60, -1), (60, 0), (60, 1), (97, 1)])
+def test_iterate_master_skips_settled_periods_bitwise(n, omega, periods, off):
+    p, steps = ChainParams(n, omega), periods * CYCLE_CHECK + off
+    start = np.eye(n)[0]
+    settled = oracles.iterate_master(start, p, steps)
+    assert np.array_equal(oracles.iterate_master(settled, p, CYCLE_CHECK), settled)
+    assert np.array_equal(iterate_master(start, p, steps), settled)
 
 
 @FEW
@@ -432,3 +484,61 @@ def test_analytic_limit_equals_iterated_limit(pairs, d, seed):
     # the state by less than tol, which leaves it up to ~5 tol from the limit
     iterated = limit_state(real, mode="iterate", max_steps=2000, tol=1e-12)
     assert trace_distance(analytic, iterated) <= 1e-10
+
+
+def limit_outcome(solver, real, max_steps, tol):
+    """(block, steps) from ``solver``, or the type and text of its error; any
+    warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            block, steps = solver(real, max_steps, tol)
+        except (RuntimeError, ValueError) as exc:
+            return type(exc), str(exc)
+    return block.tolist(), steps
+
+
+def fading_readout(rng, n, omega, d):
+    """All mass starts on the readout node of a chain biased to the left, so
+    the readout's occupation decays until post-selection is undefined."""
+    chain = core.LinearChainSpec(n, omega, [haar_unitary(d, rng) for _ in range(n - 1)])
+    rho = random_density(d, rng)
+    return ChannelRealization(chain, core.chain_to_spec(chain),
+                              core.DiagonalState(n, {n - 1: rho}), n - 1, rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["dephasing", "depolarizing", "mixture", "fading"]),
+       max_steps=st.one_of(st.integers(1, 40), st.just(2000)),
+       tol=st.sampled_from([0.0, 1e-14, 1e-12, 1e-8, 1e-3]), data=st.data())
+def test_iterate_limit_equals_stepwise_oracle(kind, max_steps, tol, data):
+    rng = np.random.default_rng(data.draw(seeds, label="seed"))
+    param = data.draw(st.floats(0.0, 1.0), label="param")
+    omega = data.draw(st.floats(0.05, 0.95), label="omega")
+    rho = random_density(2, rng)
+    if kind == "dephasing":
+        real = dephasing_realization(param, rho, omega)
+    elif kind == "depolarizing":
+        real = depolarizing_realization(param, rho, omega)
+    elif kind == "mixture":
+        d = data.draw(st.sampled_from([2, 3]), label="d")
+        weights = rng.dirichlet(np.ones(data.draw(st.integers(1, 6), label="pairs")))
+        real = embed_random_unitary([(q, haar_unitary(d, rng)) for q in weights],
+                                    random_density(d, rng))
+    else:
+        real = fading_readout(rng, data.draw(st.integers(3, 8), label="n"),
+                              data.draw(st.floats(1e-4, 1e-2), label="bias"), 2)
+    got = limit_outcome(iterate_limit, real, max_steps, tol)
+    assert got == limit_outcome(oracles.iterate_limit, real, max_steps, tol)
+
+
+def test_iterate_limit_raises_the_oracle_errors():
+    rng = np.random.default_rng(5)
+    real = fading_readout(rng, 6, 1e-3, 2)
+    faded = limit_outcome(iterate_limit, real, 2000, 0.0)
+    assert faded[0] is ValueError and faded[1].startswith("cannot post-select node 5:")
+    assert faded == limit_outcome(oracles.iterate_limit, real, 2000, 0.0)
+    real = depolarizing_realization(0.3, random_density(2, rng), 0.6)
+    stuck = limit_outcome(iterate_limit, real, 7, 1e-12)
+    assert stuck[0] is RuntimeError and stuck[1].startswith("no convergence within 7 steps")
+    assert stuck == limit_outcome(oracles.iterate_limit, real, 7, 1e-12)
