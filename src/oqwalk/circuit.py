@@ -359,7 +359,7 @@ def _density_plan(circuit: Circuit) -> _DensityPlan:
         raise ValueError("walker and node registers must occupy the leading qubits")
     cached = _DensityPlan(list(circuit.gates), dict(circuit.registers), (2 ** h, 2 ** g),
                           [gate.angle for gate in circuit.gates if gate.kind == "ry"],
-                          compile_gates(circuit.gates, main, set(main)))
+                          compile_gates(circuit.gates, main, set(main), classical=qg))
     circuit._plan = cached
     return cached
 
@@ -369,14 +369,18 @@ def simulate_density(circuit: Circuit, initial: core.DiagonalState,
     """Run the circuit on a diagonal walker-node state, tracing all ancillas.
 
     The circuit is validated and compiled once (``compile_gates``: the
-    attach and trace-out schedule, X runs fused into permutations and ``u``
-    runs into multiplexors); the plan is kept on the circuit and made again
-    when its gate list or registers change.
-    Non-selective measurements zero the measured qubit's coherences; reset
+    attach and trace-out schedule, each qubit marked classical or quantum,
+    X runs fused into permutations and ``u`` runs into multiplexors); the
+    plan is kept on the circuit and made again when its gate list or
+    registers change. The node register is classical, so the state is its
+    padded (2^g, 2^h, 2^h) block stack, which needs no check that it stays
+    diagonal; a circuit that would put a node qubit in superposition runs
+    all-quantum on the dense matrix instead.
+    Non-selective measurements remove the measured qubit's coherences; reset
     traces and reinitializes. When ``omega`` is given, the RY preparation
-    angles found in the circuit are checked against it. The node register
-    must come back diagonal, with no mass left in padded levels; both are
-    checked by ``DiagonalState.from_dense``.
+    angles found in the circuit are checked against it. No mass may be left
+    in padded levels (``DiagonalState.from_padded``), and the dense route
+    must come back diagonal too (``DiagonalState.from_dense``).
     """
     compiled = _density_plan(circuit)
     if omega is not None:
@@ -384,12 +388,16 @@ def simulate_density(circuit: Circuit, initial: core.DiagonalState,
         for angle in compiled.ry_angles:
             if abs(angle - want) > 1e-12:
                 raise ValueError(f"RY angle {angle} does not prepare omega={omega}")
-    dims = compiled.dims
-    nq = len(compiled.plan.live)
-    rho = compiled.plan.run(initial.to_dense(dims).reshape((2,) * (2 * nq)))
-    return core.DiagonalState.from_dense(rho.reshape(2 ** nq, 2 ** nq), initial.n_nodes,
-                                         initial.walker_dim, dims,
-                                         trace=initial.total_trace())
+    plan, (dw, dn) = compiled.plan, compiled.dims
+    n, d, trace = initial.n_nodes, initial.walker_dim, initial.total_trace()
+    if plan.classical:
+        blocks = np.zeros((dn, dw, dw), dtype=complex)
+        blocks[:n, :d, :d] = initial.blocks
+        return core.DiagonalState.from_padded(plan.run(blocks).reshape(dn, dw, dw), n, d, trace)
+    nq = len(plan.live)
+    rho = plan.run(initial.to_dense(compiled.dims).reshape((2,) * (2 * nq)))
+    return core.DiagonalState.from_dense(rho.reshape(2 ** nq, 2 ** nq), n, d,
+                                         compiled.dims, trace=trace)
 
 
 # --- cost model --------------------------------------------------------------

@@ -6,6 +6,19 @@ X gates as one basis permutation, a run of ``u`` gates on the same targets
 under the same control qubits as one multiplexor. A ``Plan`` runs the ops.
 ``circuit.simulate_density`` and ``circuit.circuit_matrix`` are built on it.
 
+A density state holds each qubit as classical or quantum, marked by the
+compiler at every op from the gate list alone. A classical qubit's ket and
+bra are equal, so it has one axis, shared by both sides; a quantum qubit has
+a ket axis and a bra axis. The state tensor is the classical axes, then the
+quantum ket axes, then the quantum bra axes: one classical index times a
+dense ket/bra part. The qubits a caller declares classical (a walk's node
+register) start so, and each ancilla is classical after its attach,
+``measure_nonsel`` or reset; a ``u`` or RY on a classical qubit, or an X on
+one under a quantum control, first makes it quantum. Over classical qubits
+an X run is one gather on the classical index, and a ``u`` run with
+classical select qubits one batched product over it. With no classical
+qubit (``circuit_matrix``) the state is the dense ``(2,) * 2nq`` tensor.
+
 A gate list is compiled once into ops. Each op is (fn, swaps): fn(t, spare)
 takes the state tensor t and a spare buffer at least as large as any state
 in the schedule. It changes t in place and returns it, or (swaps) writes
@@ -82,14 +95,17 @@ class _GateShape(NamedTuple):
         return tuple(q for q, _ in self.controls) + self.targets
 
 
-def _joins(run: list, patterns: set, gate: _GateShape) -> bool:
-    """Whether ``gate`` extends the fusable run: any X joins an X run; a
-    ``u`` joins a ``u`` run on the same targets under the same control
-    qubits with a control pattern the run does not have yet."""
+def _joins(run: list, patterns: set, gate: _GateShape, x_class) -> bool:
+    """Whether ``gate`` extends the fusable run: an X joins an X run of its
+    class (``x_class``; None keeps it alone); a ``u`` joins a ``u`` run on
+    the same targets under the same control qubits with a control pattern
+    the run does not have yet."""
     if not run or gate.kind != run[0][1].kind or gate.kind not in ("x", "u"):
         return False
     first = run[0][1]
-    return gate.kind == "x" or (
+    if gate.kind == "x":
+        return x_class(gate) is not None and x_class(gate) == x_class(first)
+    return (
         gate.targets == first.targets
         and {q for q, _ in gate.controls} == {q for q, _ in first.controls}
         and len(gate.controls) == len(first.controls)
@@ -160,9 +176,12 @@ def _unitary_op(spec: _UnitarySlots, gates: list) -> tuple:
 
 
 def _flip_op(gate: _GateShape, sides: list, shape: tuple) -> tuple:
-    """One X gate: inside its control slice, swap the target's two halves."""
+    """One X gate: inside its control slice, swap the target's two halves.
+    A gate on classical qubits alone has one set of axes for both sides, so
+    it flips once."""
+    axes = {tuple(axis[q] for q in gate.qubits): axis for axis, _ in sides}
     views = [_slice_view(shape, tuple((axis[q], p) for q, p in gate.controls), (),
-                         (axis[gate.targets[0]],))[0] for axis, _ in sides]
+                         (axis[gate.targets[0]],))[0] for axis in axes.values()]
 
     def op(t, spare):
         for how in views:
@@ -172,62 +191,75 @@ def _flip_op(gate: _GateShape, sides: list, shape: tuple) -> tuple:
     return op, False
 
 
-def _perm_op(run: list, sides: list, nq: int) -> tuple:
-    """A run of X gates as one basis permutation, found by flipping an index
-    tensor gate by gate; applied as a gather of ket rows, then (for a
-    density) of bra columns."""
-    dim = 2 ** nq
-    index = np.arange(dim).reshape((2,) * nq)
+def _perm_op(run: list, axis: dict, lead: int, columns: bool) -> tuple:
+    """A run of X gates on the qubits of the ``lead`` leading axes as one
+    basis permutation, found by flipping an index tensor gate by gate;
+    applied as one gather of rows (the classical index, or the ket index),
+    then, with ``columns``, of bra columns."""
+    dim = 2 ** lead
+    index = np.arange(dim).reshape((2,) * lead)
     for _, gate in run:
-        index = _flip_op(gate, sides[:1], index.shape)[0](index, None)
+        index = _flip_op(gate, [(axis, False)], index.shape)[0](index, None)
     perm = index.reshape(dim)
     perm.flags.writeable = False   # shared by every plan of this schedule
-    density = len(sides) == 2
 
     def op(t, spare):
         m = t.reshape(dim, -1)
         rows = spare[:m.size].reshape(m.shape)
         # mode="clip": every index is in range, and "raise" would buffer out
         np.take(m, perm, axis=0, out=rows, mode="clip")
-        if density:
-            np.take(rows, perm, axis=1, out=m, mode="clip")
-        else:
-            m[...] = rows
+        if not columns:
+            return rows.reshape(t.shape)
+        np.take(rows, perm, axis=1, out=m, mode="clip")
         return t
-    return op, False
+    return op, not columns
 
 
-def _attach_op(nq: int) -> tuple:
-    """A new qubit, last in the live order, as |0><0|."""
-    shape = (2,) * (2 * nq + 2)
-    how = _slice_view(shape, ((nq, 0), (2 * nq + 1, 0)), (), ())[0]
+def _embed_op(shape: tuple, out_shape: tuple, pairs: list) -> tuple:
+    """The state written into zeros of a larger layout: for each (fixed,
+    out_fixed) of ``pairs``, the input's slice at ``fixed`` goes to the
+    output's slice at ``out_fixed``. Attaching a qubit puts the whole state
+    at its |0><0|; making a classical qubit quantum puts its slice v at the
+    new ket/bra pair's |v><v|."""
+    hows = [(_slice_view(shape, fixed, (), ())[0], _slice_view(out_shape, out_fixed, (), ())[0])
+            for fixed, out_fixed in pairs]
+    size = math.prod(out_shape)
 
     def op(t, spare):
-        out = spare[:4 * t.size].reshape(shape)
+        out = spare[:size].reshape(out_shape)
         out.fill(0.0)
-        view = _view(out, how)
-        view[...] = t.reshape(view.shape)
+        for how, out_how in hows:
+            view = _view(out, out_how)
+            view[...] = _view(t, how).reshape(view.shape)
         return out
     return op, True
 
 
-def _trace_op(pos: int, nq: int) -> tuple:
-    """The partial trace over one qubit: the sum of its two diagonal slices."""
-    shape = (2,) * (2 * nq)
-    zero, one = (_slice_view(shape, ((pos, v), (pos + nq, v)), (), ())[0] for v in (0, 1))
+def _diagonal_op(shape: tuple, axes: tuple, stack: bool) -> tuple:
+    """The two slices where every axis of ``axes`` (one qubit's) holds v,
+    v = 0, 1: added, the partial trace over the qubit; or, with ``stack``,
+    laid on a new leading axis, which makes a measured qubit classical."""
+    zero, one = (_slice_view(shape, tuple((a, v) for a in axes), (), ())[0] for v in (0, 1))
+    rest = tuple(n for a, n in enumerate(shape) if a not in axes)
 
-    def op(t, spare):
+    def trace(t, spare):
         a, b = _view(t, zero), _view(t, one)
         out = spare[:a.size].reshape(a.shape)
         np.add(a, b, out=out)
-        return out.reshape((2,) * (2 * nq - 2))
-    return op, True
+        return out.reshape(rest)
+
+    def split(t, spare):
+        a, b = _view(t, zero), _view(t, one)
+        out = spare[:2 * a.size].reshape((2,) + a.shape)
+        out[0], out[1] = a, b
+        return out.reshape((2,) + rest)
+    return (split if stack else trace), True
 
 
-def _measure_op(pos: int, nq: int) -> tuple:
-    """Non-selective measurement: zero the ket != bra slices of one qubit."""
-    shape = (2,) * (2 * nq)
-    views = [_slice_view(shape, ((pos, ket), (pos + nq, 1 - ket)), (), ())[0] for ket in (0, 1)]
+def _measure_op(shape: tuple, ket: int, bra: int) -> tuple:
+    """Non-selective measurement of a qubit kept quantum: zero its ket != bra
+    slices."""
+    views = [_slice_view(shape, ((ket, v), (bra, 1 - v)), (), ())[0] for v in (0, 1)]
 
     def op(t, spare):
         for how in views:
@@ -238,16 +270,19 @@ def _measure_op(pos: int, nq: int) -> tuple:
 
 class Plan:
     """A gate list compiled against a qubit layout. ``live`` is the qubit
-    order of the result; ``size`` the largest state, in entries, on the way.
+    order of the result, whose first ``len(classical)`` qubits are classical
+    (one axis each) and the rest quantum (a ket and a bra axis each, for a
+    density); ``size`` is the largest state, in entries, on the way.
 
     The two state buffers are made on the first ``run`` and kept for later
     ones; a lock keeps concurrent runs of one plan apart.
     """
 
-    def __init__(self, ops: list, live: list, size: int):
+    def __init__(self, ops: list, live: list, size: int, classical: tuple):
         self.ops = ops
         self.live = live
         self.size = size
+        self.classical = classical
         self._buffers = None
         self._lock = threading.Lock()
 
@@ -267,41 +302,59 @@ class Plan:
             return x.copy()
 
 
-def compile_gates(gates: list, live, keep, density: bool = True) -> Plan:
+def compile_gates(gates: list, live, keep, density: bool = True, classical=()) -> Plan:
     """Compile a gate list once into fused ops.
 
-    A maximal run of X gates becomes one permutation (``_perm_op``); a
+    A maximal run of X gates becomes one permutation (``_perm_op``) when its
+    gates touch classical qubits alone, or when no qubit is classical; a
     maximal run of ``u`` gates on the same targets under the same control
     qubits with distinct patterns becomes one multiplexor (``_unitary_op``).
-    A lone X flips its slice (``_flip_op``) and a lone ``u`` or RY is a
-    multiplexor without select controls. A run never spans an attach or a
-    trace-out, so every op sees one qubit layout.
+    Any other X flips its slice (``_flip_op``) and a lone ``u`` or RY is a
+    multiplexor without select controls. A run never spans a change of
+    layout (an attach, a trace-out, a qubit made classical or quantum), so
+    every op sees one layout.
 
-    ``density``: the state is a ``(2,) * 2nq`` tensor, ket axes first and
-    bra axes after, both in ``live`` order. A qubit enters the state (as
-    |0><0|, last in the order) when first touched, and one not in ``keep``
-    is traced out as soon as no later gate references it; so the live
-    dimension stays at walker x node x one ancilla pair even for the fresh
-    ancilla policy. Otherwise the state is ``(2,) * nq`` plus one trailing
-    axis of size 2^nq, ket side only, and ``live`` must cover every qubit.
+    ``density``: the state holds the qubits of ``live`` in the order
+    ``classical``, then the rest of ``live`` (see the module docstring), and
+    comes back in that layout. ``classical`` lists qubits whose ket and bra
+    are equal in the input: each is then one axis of the classical index. A
+    qubit enters the state as |0><0| when first touched, and one not in
+    ``keep`` is traced out as soon as no later gate references it; so the
+    live dimension stays at walker x node x one ancilla pair even for the
+    fresh ancilla policy. A circuit that would not give the state back in
+    its input layout (say it leaves a qubit of ``classical`` in
+    superposition) takes the all-quantum case: no qubit is classical, the
+    state is the dense ``(2,) * 2nq`` tensor in ``live`` order, and the
+    plan's ``classical`` is empty. Otherwise (``density`` false) the state
+    is ``(2,) * nq`` plus one trailing axis of size 2^nq, ket side only,
+    ``live`` must cover every qubit and none is classical.
 
     Everything but the gates' matrices and angles depends on the gate
     shapes alone (``_schedule``), so circuits of one shape share that work.
     """
     shapes = tuple(_GateShape(g.kind, tuple(g.targets), tuple(g.controls)) for g in gates)
-    steps, final, size = _schedule(shapes, tuple(live), frozenset(keep), density)
+    steps, final, size, held = _schedule(shapes, tuple(live), frozenset(keep), density,
+                                         tuple(classical) if density else None)
     ops = [_unitary_op(step, gates) if isinstance(step, _UnitarySlots) else step
            for step in steps]
-    return Plan(ops, list(final), size)
+    return Plan(ops, list(final), size, held)
 
 
 @functools.lru_cache(maxsize=64)
-def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool) -> tuple:
+def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool,
+              classical: tuple | None) -> tuple:
     """The ops of ``compile_gates`` for gates of these shapes, with each
     multiplexor left as its ``_UnitarySlots``; the final qubit order; the
-    largest state size."""
-    live = list(live)
-    size = 4 ** len(live)
+    largest state size; the classical qubits the plan takes and gives.
+    ``classical`` None is the all-quantum case: ancillas attach quantum and
+    a measurement zeroes their coherences."""
+    marking = classical is not None
+    cl = list(classical or ())
+    qu = [q for q in live if q not in cl]
+    # live qubits in attach order; trace-outs follow it, as the per-gate
+    # simulator's do, so their sums round alike
+    order = list(live)
+    size = 0
     last_use = {}
     for pos, gate in enumerate(gates):
         for q in gate.qubits:
@@ -312,60 +365,106 @@ def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool) -> tupl
     steps, run, patterns, layout = [], [], set(), {}
 
     def relayout():
-        nq = len(live)
-        ket = {q: i for i, q in enumerate(live)}
+        nonlocal size
+        nc, nq = len(cl), len(qu)
+        ket = {q: i for i, q in enumerate(cl + qu)}
         if density:
-            layout["shape"] = (2,) * (2 * nq)
-            layout["sides"] = [(ket, False), ({q: i + nq for q, i in ket.items()}, True)]
+            layout["shape"] = (2,) * (nc + 2 * nq)
+            layout["sides"] = [(ket, False),
+                               ({q: a + nq * (a >= nc) for q, a in ket.items()}, True)]
         else:
             layout["shape"] = (2,) * nq + (2 ** nq,)
             layout["sides"] = [(ket, False)]
+        size = max(size, math.prod(layout["shape"]))
+
+    def axes(q):
+        # one per side; a classical qubit's one axis serves both
+        return tuple(dict.fromkeys(axis[q] for axis, _ in layout["sides"]))
+
+    def x_class(gate):
+        # the axes an X run may permute: classical ones, or all if none is
+        if all(q in cl for q in gate.qubits):
+            return "classical"
+        return None if cl else "quantum"
 
     def flush():
         if run and run[0][1].kind != "x":
             steps.append(_unitary_slots(run, layout["sides"], layout["shape"]))
         elif len(run) > 1:
-            steps.append(_perm_op(run, layout["sides"], len(live)))
+            quantum = x_class(run[0][1]) == "quantum"
+            steps.append(_perm_op(run, layout["sides"][0][0], len(qu) if quantum else len(cl),
+                                  quantum and density))
         elif run:
             steps.append(_flip_op(run[0][1], layout["sides"], layout["shape"]))
         run.clear()
         patterns.clear()
 
-    def attach(q):
-        nonlocal size
-        steps.append(_attach_op(len(live)))
-        live.append(q)
-        size = max(size, 4 ** len(live))
+    def attach(q, quantum):
+        flush()
+        shape = layout["shape"]
+        order.append(q)
+        if quantum:
+            qu.append(q)
+        else:
+            cl.insert(0, q)
+        relayout()
+        steps.append(_embed_op(shape, layout["shape"], [((), tuple((a, 0) for a in axes(q)))]))
+
+    def promote(q):
+        flush()
+        shape, axis = layout["shape"], cl.index(q)
+        cl.remove(q)
+        qu.append(q)
+        relayout()
+        steps.append(_embed_op(shape, layout["shape"],
+                               [(((axis, v),), tuple((a, v) for a in axes(q))) for v in (0, 1)]))
+
+    def measure(q):
+        flush()
+        if q in cl:
+            return                 # a classical qubit is measured already
+        if not marking:
+            steps.append(_measure_op(layout["shape"], *axes(q)))
+            return
+        steps.append(_diagonal_op(layout["shape"], axes(q), True))
+        qu.remove(q)
+        cl.insert(0, q)
         relayout()
 
     def trace_out(q):
-        steps.append(_trace_op(live.index(q), len(live)))
-        live.remove(q)
+        flush()
+        steps.append(_diagonal_op(layout["shape"], axes(q), False))
+        order.remove(q)
+        (cl if q in cl else qu).remove(q)
         relayout()
 
     relayout()
     for pos, gate in enumerate(gates):
-        new = [q for q in dict.fromkeys(gate.qubits) if q not in live]
-        if new or not _joins(run, patterns, gate):
-            flush()
-        for q in new:
-            attach(q)
+        # the targets this gate can put in superposition must be quantum
+        quantum_control = any(q in qu for q, _ in gate.controls)
+        lifted = gate.targets if gate.kind in ("u", "ry") or gate.kind == "x" and quantum_control \
+            else ()
+        for q in dict.fromkeys(gate.qubits):
+            if q not in order:
+                attach(q, not marking or q in lifted)
+            elif q in cl and q in lifted:
+                promote(q)
         if gate.kind == "measure_nonsel":
-            steps.append(_measure_op(live.index(gate.targets[0]), len(live)))
+            measure(gate.targets[0])
         elif gate.kind == "reset":
             trace_out(gate.targets[0])
-            attach(gate.targets[0])
+            attach(gate.targets[0], not marking)
         else:
+            if not _joins(run, patterns, gate, x_class):
+                flush()
             run.append((pos, gate))
             patterns.add(frozenset(gate.controls))
         if pos in ends:
-            done = [q for q in live if q not in keep and last_use.get(q, -1) <= pos]
-            if done:
-                flush()
-            for q in done:
+            for q in [q for q in order if q not in keep and last_use.get(q, -1) <= pos]:
                 trace_out(q)
     flush()
-    for q in [q for q in live if q not in keep]:
+    for q in [q for q in order if q not in keep]:
         trace_out(q)
-    return tuple(steps), tuple(live), size
-
+    if marking and (cl, qu) != (list(classical), [q for q in live if q not in classical]):
+        return _schedule(gates, live, keep, density, None)
+    return tuple(steps), tuple(cl + qu), size, tuple(cl)

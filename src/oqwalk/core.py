@@ -204,9 +204,18 @@ class DiagonalState:
         if residue > 1e-10:
             raise RuntimeError(f"node register left the diagonal form "
                                f"(off-diagonal residue {residue:.3e})")
+        diagonal = np.diagonal(tensor, axis1=1, axis2=3).transpose(2, 0, 1)
+        return DiagonalState.from_padded(diagonal, n_nodes, walker_dim, trace)
+
+    @staticmethod
+    def from_padded(blocks, n_nodes: int, walker_dim: int,
+                    trace: float | None = None) -> "DiagonalState":
+        """The leading ``n_nodes`` blocks, each cut to its leading
+        ``walker_dim`` levels, of a padded (dn, dw, dw) block stack, copied.
+        Given the input state's ``trace``, raises if more than 1e-9 of it is
+        missing (left in padded levels)."""
         d = walker_dim
-        diagonal = np.diagonal(tensor, axis1=1, axis2=3)[:d, :d, :n_nodes]
-        out = DiagonalState(n_nodes, diagonal.transpose(2, 0, 1).astype(complex, order="C"))
+        out = DiagonalState(n_nodes, blocks[:n_nodes, :d, :d].astype(complex, order="C"))
         if trace is not None:
             leaked = abs(out.total_trace() - trace)
             if leaked > 1e-9:

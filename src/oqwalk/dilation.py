@@ -9,19 +9,23 @@ weight multisets.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import core
-from .matrixkit import asmatrix, complete_isometry, is_unitary, partial_trace, psd_sqrt
+from .matrixkit import asmatrix, complete_isometry, is_unitary, psd_sqrt
 
 UNITARY_TOL = 1e-10
 
-# Largest dense locality dilation d·N·k. On 2 vCPUs with one BLAS thread,
-# `oqw verify --steps 1` at 1024 took 1.2–4.3 s and 0.17–0.47 GB peak RSS;
-# at 2048 it took 7–18 s and 0.5–1.7 GB.
-MAX_DENSE_DIM = 1024
+# Largest dense locality dilation d·N·k: the largest power of two at which
+# `oqw verify --steps 1` stays within what 1024 cost when it became the cap,
+# 4.3 s and 0.47 GB peak RSS (2 vCPUs, one BLAS thread; 2048 then took 7–18 s
+# and 0.5–1.7 GB). With the circuit on its classical node index and the
+# Kraus-stack step, 2048 takes 1.9–2.8 s and 0.42 GB for d = 2, 3, 4 (1024:
+# 0.4–0.7 s, 0.13 GB). At 4096 the unitary and its Kraus stack alone would
+# hold 0.8 GB.
+MAX_DENSE_DIM = 2048
 
 
 @dataclass
@@ -33,6 +37,8 @@ class DilationUnitary:
     preparation for the generalized construction. The matrix is checked to
     be unitary by the dense product u†u, unless ``unitary_checked`` says its
     builder has already checked it block by block (``_locality_unitary``).
+    ``step_via_dilation`` keeps the Kraus stack of its last ancilla weights
+    here, so the matrix must not change after the first step.
     """
 
     matrix: np.ndarray
@@ -40,6 +46,7 @@ class DilationUnitary:
     kind: str
     ancilla_weights: tuple | None = None
     unitary_checked: InitVar[bool] = False
+    _kraus: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, unitary_checked):
         dim = int(np.prod(self.factor_dims))
@@ -227,14 +234,39 @@ def build_generalized(spec: core.OqwSpec, k: int) -> DilationUnitary:
                              "generalized", tuple(canonical.tolist()))
 
 
+def _kraus_stack(dil: DilationUnitary, weights: tuple) -> tuple:
+    """The reduced step's Kraus operators W_ab = sqrt(p_a) V_ab, where V_ab
+    is the dN x dN block of the dilation from ancilla level a to level b and
+    p_a > 0 the ancilla weight of level a: as one (dN, K dN) row of them
+    and as the (K, dN, dN) stack of their adjoints. Made once per weights
+    and kept on ``dil``."""
+    cached = dil._kraus
+    if cached is not None and cached[0] == weights:
+        return cached[1:]
+    d, n, k = dil.factor_dims
+    dim = d * n
+    p = np.array(weights, dtype=float)
+    levels = np.flatnonzero(p > 0.0)
+    # blocks[a, b] = V_ab: the rows with ancilla b of the columns with ancilla a
+    blocks = dil.matrix.reshape(dim, k, dim, k).transpose(3, 1, 0, 2)[levels]
+    stack = (blocks * np.sqrt(p[levels])[:, None, None, None]).reshape(-1, dim, dim)
+    row = np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(dim, -1)
+    adjoints = np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
+    dil._kraus = (weights, row, adjoints)
+    return row, adjoints
+
+
 def step_via_dilation(dil: DilationUnitary, state: core.DiagonalState,
                       omega: float) -> core.DiagonalState:
-    """One walk step through the dilation: adjoin the mixed ancilla, apply
-    the unitary, trace the ancilla, re-extract the diagonal blocks.
+    """One walk step through the dilation: with the ancilla prepared in a
+    mixture of levels a with weights p_a, applying the unitary and tracing
+    the ancilla is the map rho -> sum_ab W_ab rho W_ab†, W_ab = sqrt(p_a) V_ab
+    (``_kraus_stack``); then the diagonal blocks are re-extracted.
 
     The ancilla is prepared as diag(1-omega, omega) for the plain locality
     dilation and as the canonical weight mixture for the generalized one.
-    Off-diagonal residue on the node register after tracing flags an
+    The step stays dense and independent of ``core.evolve``, because this
+    route is an oracle for it. Off-diagonal residue on the node register flags an
     internal inconsistency (``DiagonalState.from_dense`` raises).
     """
     if dil.kind not in ("local", "generalized"):
@@ -242,13 +274,11 @@ def step_via_dilation(dil: DilationUnitary, state: core.DiagonalState,
     d, n, k = dil.factor_dims
     if state.n_nodes != n or state.walker_dim != d:
         raise ValueError("state dimensions do not match the dilation")
-    if dil.ancilla_weights is not None:
-        anc = np.diag(np.array(dil.ancilla_weights, dtype=complex))
-    else:
-        anc = np.diag(np.array([1.0 - omega, omega], dtype=complex))
-    evolved = dil.matrix @ np.kron(state.to_dense(), anc) @ dil.matrix.conj().T
-    reduced = partial_trace(evolved, [d, n, k], keep=(0, 1))
-    return core.DiagonalState.from_dense(reduced, n, d)
+    weights = dil.ancilla_weights if dil.ancilla_weights is not None else (1.0 - omega, omega)
+    row, adjoints = _kraus_stack(dil, tuple(weights))
+    # one product per operator, rho W†, stacked; then sum_ab W_ab (rho W_ab†) as one product
+    evolved = row @ np.matmul(state.to_dense(), adjoints).reshape(-1, d * n)
+    return core.DiagonalState.from_dense(evolved, n, d)
 
 
 _METHODS = ("stinespring", "sznagy", "local")

@@ -144,16 +144,24 @@ def complete_isometry(v, tol: float = DEFAULT_TOL) -> np.ndarray:
     return u
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary from the QR of a complex Gaussian matrix.
+def haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed unitaries, shape (count, dim, dim), each
+    from the QR of a complex Gaussian matrix: one stacked QR over matrices
+    drawn in turn, real parts then imaginary, so matrix i is the i-th of
+    ``count`` calls to ``haar_unitary``.
 
     The R factor's diagonal phases are normalized away so the output is a
     deterministic function of the generator state.
     """
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    x = rng.normal(size=(count, 2, dim, dim))
+    q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed unitary, ``haar_unitaries(1, dim, rng)[0]``."""
+    return haar_unitaries(1, dim, rng)[0]
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

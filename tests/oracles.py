@@ -20,6 +20,16 @@ formatted one numpy cell at a time. The channel limit checked after every
 step, for ``channels.iterate_limit``, which steps and checks in windows; it
 must give the same block, step count and errors.
 
+The dilation step through the full space, for
+``dilation.step_via_dilation``, which applies the reduced map's Kraus
+operators to the walker-node state instead: the unitary on state ⊗ ancilla,
+then the partial trace over the ancilla. The two add the same terms in
+another order, so they agree to roundoff, not bit for bit.
+
+The Haar draw one matrix at a time, for ``matrixkit.haar_unitaries``, which
+draws a stack and factors it in one QR call; matrix i must equal the i-th
+one-at-a-time draw bit for bit.
+
 The per-block loops of ``core.DiagonalState``, which once held a dict from
 node to block and now holds one (N, d, d) array: its traces, dense matrix
 and PSD check taken one block at a time. They do the same arithmetic per
@@ -29,7 +39,7 @@ block, so the array forms agree with them bit for bit.
 import numpy as np
 
 from oqwalk import analysis, channels, circuit, compiled, core
-from oqwalk.matrixkit import trace_distance
+from oqwalk.matrixkit import partial_trace, trace_distance
 
 
 def transition_matrix(p) -> np.ndarray:
@@ -125,6 +135,25 @@ def iterate_limit(real, max_steps: int = 2000, tol: float = 1e-12) -> tuple:
         prev = cur
     raise RuntimeError(f"no convergence within {max_steps} steps "
                        f"(last delta {delta:.3e} vs tol {tol})")
+
+
+def step_via_dilation(dil, state, omega):
+    """``dilation.step_via_dilation`` as U (rho ⊗ anc) U† and the partial
+    trace over the ancilla."""
+    d, n, k = dil.factor_dims
+    weights = dil.ancilla_weights if dil.ancilla_weights is not None else (1.0 - omega, omega)
+    anc = np.diag(np.array(weights, dtype=complex))
+    evolved = dil.matrix @ np.kron(state.to_dense(), anc) @ dil.matrix.conj().T
+    reduced = partial_trace(evolved, [d, n, k], keep=(0, 1))
+    return core.DiagonalState.from_dense(reduced, n, d)
+
+
+def haar_unitary(dim: int, rng) -> np.ndarray:
+    """One Haar unitary: the QR of one complex Gaussian matrix, phases fixed."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
 
 
 # --- the per-block state loops ----------------------------------------------------

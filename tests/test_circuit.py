@@ -489,6 +489,48 @@ def test_one_step_at_n128_peaks_below_36_mib():
     assert peak <= 36 * 2 ** 20
 
 
+def test_one_classical_step_at_n128_peaks_below_1_mib():
+    # the node register and the ancillas are a classical index, so the state
+    # is (2^9, 2, 2) blocks, 32 KiB, where the dense one is 16 MiB
+    rng = np.random.default_rng(24)
+    chain = random_chain(128, 0.6, rng)
+    state = random_diagonal_state(128, 2, rng)
+    step = circuit.build_walk(chain, 1)
+    tracemalloc.start()
+    try:
+        circuit.simulate_density(step, state, chain.omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step._plan.plan.classical == step.registers["qG"]
+    assert peak <= 2 ** 20
+
+
+@pytest.mark.parametrize("node, gates", [
+    (1, [Gate("x", (1,))]),                    # a lone flip: node 1 (01) to 3 (11)
+    (2, circuit._inc_gates((1, 2))),           # a permutation run: node 2 (10) to 3
+])
+def test_mass_moved_to_a_padded_node_pattern_leaks_on_the_classical_path(node, gates):
+    # three nodes pad the node register to four patterns
+    circ = Circuit({"qH": (0,), "qG": (1, 2)}, gates)
+    state = core.DiagonalState.pure([1.0, 0.0], node, 3)
+    with pytest.raises(RuntimeError, match="probability leaked into padded sectors"):
+        circuit.simulate_density(circ, state)
+    assert circ._plan.plan.classical == (1, 2)
+
+
+def test_a_node_qubit_in_superposition_runs_all_quantum():
+    # two Hadamards on the node qubit give the state back, through the
+    # dense matrix: the node register is not classical in between
+    rng = np.random.default_rng(25)
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    circ = Circuit({"qH": (0,), "qG": (1,)}, [Gate("u", (1,), matrix=hadamard)] * 2)
+    state = random_diagonal_state(2, 2, rng)
+    out = circuit.simulate_density(circ, state)
+    assert circ._plan.plan.classical == ()
+    assert np.abs(out.blocks - state.blocks).max() <= 1e-15
+
+
 def test_circuit_matrix_rejects_measurement():
     c = Circuit({"q": (0,)}, [Gate("measure_nonsel", (0,))])
     with pytest.raises(ValueError, match="unitary"):

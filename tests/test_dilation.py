@@ -17,6 +17,7 @@ from oqwalk.matrixkit import (
     random_pure_state,
     trace_distance,
 )
+import oracles
 
 
 def random_chain(n, omega, rng, dim=2):
@@ -369,6 +370,32 @@ def test_generalized_blocks_equal_kron_sum(spec, k):
     matrix, weights = kron_generalized(spec, k)
     assert np.array_equal(gen.matrix, matrix)
     assert gen.ancilla_weights == weights
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 33])
+def test_kraus_step_equals_full_space_step_on_chains(n):
+    # one dilation per chain serves every omega, so the Kraus stack kept on
+    # it is made again for each new ancilla mixture
+    rng = np.random.default_rng(400 + n)
+    for d in (1, 2, 3, 4):
+        dil = dilation.build_u_loc(random_chain(n, 0.5, rng, d))
+        for omega in (0.0, 0.5, 0.7, 1.0):
+            got = want = random_diagonal_state(n, d, rng)
+            for _ in range(3):
+                got = dilation.step_via_dilation(dil, got, omega)
+                want = oracles.step_via_dilation(dil, want, omega)
+                assert np.abs(got.blocks - want.blocks).max() <= 1e-15
+
+
+@pytest.mark.parametrize("spec, k", [p for p in generalized_specs() if p.values[1] >= 3])
+def test_kraus_step_equals_full_space_step_on_generalized_walks(spec, k):
+    rng = np.random.default_rng(500 + spec.n_nodes)
+    dil = dilation.build_generalized(spec, k)
+    got = want = random_diagonal_state(spec.n_nodes, spec.walker_dim, rng)
+    for _ in range(3):
+        got = dilation.step_via_dilation(dil, got, 0.5)
+        want = oracles.step_via_dilation(dil, want, 0.5)
+        assert np.abs(got.blocks - want.blocks).max() <= 1e-15
 
 
 def test_dense_cap_refuses_before_allocating():

@@ -7,6 +7,7 @@ from oqwalk.matrixkit import (
     Z,
     complete_isometry,
     dagger,
+    haar_unitaries,
     haar_unitary,
     is_unitary,
     kron,
@@ -17,6 +18,7 @@ from oqwalk.matrixkit import (
     random_pure_state,
     trace_distance,
 )
+import oracles
 
 
 def test_kron_identity():
@@ -218,6 +220,18 @@ def test_haar_unitary_deterministic():
     u2 = haar_unitary(4, np.random.default_rng(11))
     assert np.array_equal(u1, u2)
     assert is_unitary(u1, 1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_haar_unitaries_equal_one_at_a_time_draws_bitwise(dim):
+    for count in (1, 3, 7, 31, 127):
+        rng, loop = np.random.default_rng(100 * dim + count), np.random.default_rng(100 * dim + count)
+        stack = haar_unitaries(count, dim, rng)
+        assert stack.shape == (count, dim, dim)
+        for u in stack:
+            assert np.array_equal(u, oracles.haar_unitary(dim, loop))
+        # both used the same draws, so the generators are left in one state
+        assert rng.random() == loop.random()
 
 
 def test_z_on_plus():

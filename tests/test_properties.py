@@ -325,6 +325,25 @@ def test_fused_simulation_equals_per_gate_oracle_bitwise(n, d, order, policy, da
         assert np.array_equal(got.block(i), want.block(i))
 
 
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 20), d=st.integers(1, 4), order=st.sampled_from(["rb-lb", "lb-rb"]),
+       policy=st.sampled_from(["reuse", "fresh"]), data=st.data())
+def test_classical_path_equals_per_gate_oracle_bitwise(n, d, order, policy, data):
+    # a walk keeps its node register and ancillas classical throughout, so it
+    # runs as (2^(g+2), 2^h, 2^h) blocks; the oracle's 4^qubits dense steps
+    # limit the 9-qubit walks to two steps
+    steps = data.draw(st.integers(2, 2 if walk_qubits(n, d) == 9 else 4))
+    rng = np.random.default_rng(data.draw(seeds))
+    chain = core.LinearChainSpec(n, data.draw(omegas),
+                                 [haar_unitary(d, rng) for _ in range(n - 1)])
+    state = random_state(rng, n, d)
+    walk = circuit.build_walk(chain, steps, policy, order)
+    got = circuit.simulate_density(walk, state, chain.omega)
+    assert walk._plan.plan.classical == walk.registers["qG"]
+    want = oracles.simulate_density(walk, state, chain.omega)
+    assert np.array_equal(got.blocks, want.blocks)
+
+
 # --- the walk kernel ---------------------------------------------------------
 
 def loop_step(spec, state):
