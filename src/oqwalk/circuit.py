@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,8 @@ GATE_KINDS = ("x", "ry", "u", "measure_nonsel", "reset")
 @dataclass(frozen=True, eq=False)
 class Gate:
     """One gate. Gates compare and hash by identity: a ``u`` gate's matrix is
-    an array, so field-wise equality would be ambiguous."""
+    an array, so field-wise equality would be ambiguous. ``qubits``, the
+    control qubits then the targets, is computed once at construction."""
 
     kind: str
     targets: tuple
@@ -42,12 +43,13 @@ class Gate:
     angle: float | None = None
     matrix: np.ndarray | None = None
     label: str = ""
+    qubits: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        ctrl_qubits = {q for q, _ in self.controls}
-        if ctrl_qubits & set(self.targets):
+        ctrl_qubits = tuple(q for q, _ in self.controls)
+        if set(ctrl_qubits) & set(self.targets):
             raise ValueError("control qubits must be disjoint from targets")
         for _, pol in self.controls:
             if pol not in (0, 1):
@@ -57,10 +59,7 @@ class Gate:
             if m.shape != (2 ** len(self.targets),) * 2:
                 raise ValueError(f"matrix shape {m.shape} does not cover "
                                  f"{len(self.targets)} target qubits")
-
-    @property
-    def qubits(self) -> tuple:
-        return tuple(q for q, _ in self.controls) + self.targets
+        object.__setattr__(self, "qubits", ctrl_qubits + self.targets)
 
 
 @dataclass
@@ -413,23 +412,32 @@ def _base_cnot_cost(n_targets: int) -> int:
     return math.ceil((4 ** n_targets - 3 * n_targets - 1) / 4)
 
 
-def _frontier_map(block: list) -> tuple:
+def _frontier_map(block: list, prefix: int) -> tuple:
     """The greedy-layer frontier map of a gate block, in max-plus form.
 
-    Returns (qubits, rows): after the block, the layer reached on
-    ``qubits[r]`` is ``max_q(rows[r][q] + before[q])`` over the block's
-    qubits, with -inf where qubit r does not depend on qubit q.
+    Returns (qubits, rows, prefix_rows): after the block, the layer reached
+    on ``qubits[r]`` is ``max_q(rows[r][q] + before[q])`` over the block's
+    qubits, with -inf where qubit r does not depend on qubit q;
+    ``prefix_rows`` is the same map after the block's first ``prefix`` gates.
     """
     qubits = sorted({q for gate in block for q in gate.qubits})
     pos = {q: i for i, q in enumerate(qubits)}
     rows = [[0 if i == j else -math.inf for j in range(len(qubits))]
             for i in range(len(qubits))]
-    for gate in block:
+    prefix_rows = rows
+    for n, gate in enumerate(block):
+        if n == prefix:
+            prefix_rows = list(rows)
         touched = [pos[q] for q in gate.qubits]
-        row = [max(col) + 1 for col in zip(*(rows[i] for i in touched))]
+        # qubits a gate has joined share one row object; merge each row once
+        merged = {id(rows[i]): rows[i] for i in touched}
+        if len(merged) == 1:
+            row = [x + 1 for x in rows[touched[0]]]
+        else:
+            row = [max(col) + 1 for col in zip(*merged.values())]
         for i in touched:
             rows[i] = row
-    return qubits, rows
+    return qubits, rows, prefix_rows
 
 
 def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
@@ -446,8 +454,12 @@ def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
     A repeated block of shared gates at the start of the list (a ``reuse``
     walk's step and resets, see ``_repeats``) is costed once: each of its
     gates is priced once, and its effect on the per-qubit layer frontier, a
-    max-plus linear map, is found once and applied once per repeat. The
-    gates after the block are priced and layered one by one.
+    max-plus linear map, is found in one sweep and raised to the k-th
+    power by max-plus squaring.
+    A tail that is the block's first gates, the same objects (a ``reuse``
+    walk's final step), takes their prices and the map saved at that point
+    of the sweep. Any other gate after the block is priced and layered one
+    by one.
     """
     if model == "linear-ancilla":
         f = lambda c: alpha * c + beta
@@ -463,15 +475,27 @@ def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
         return (f(c) if c else 0.0) + _base_cnot_cost(len(gate.targets))
 
     p, k = _repeats(circuit.gates)
-    block = circuit.gates[:p]
+    block, tail = circuit.gates[:p], circuit.gates[p * k:]
+    shared = len(tail) if tail == block[:len(tail)] else 0
     block_cnots = np.array([gate_cnots(gate) for gate in block], dtype=float)
-    qubits, rows = _frontier_map(block)
-    layers = [0] * len(qubits)
-    for _ in range(k):
-        layers = [max(map(operator.add, row, layers)) for row in rows]
-    depth_by_qubit = dict(zip(qubits, layers))
+    qubits, rows, prefix_rows = _frontier_map(block, shared)
+    layers = np.zeros(len(qubits))
+    if qubits:
+        # the map applied k times, by max-plus squaring, (a ⊗ b)[i, j] =
+        # max_l a[i, l] + b[l, j]; the entries are small integers and -inf,
+        # so the float sums are exact
+        power, reps = np.array(rows), k
+        while reps:
+            if reps & 1:
+                layers = (power + layers).max(axis=1)
+            reps >>= 1
+            if reps:
+                power = (power[:, :, None] + power).max(axis=1)
+        if shared:
+            layers = (np.array(prefix_rows) + layers).max(axis=1)
+    depth_by_qubit = dict(zip(qubits, map(int, layers.tolist())))
     tail_cnots = []
-    for gate in circuit.gates[p * k:]:
+    for gate in tail[shared:]:
         tail_cnots.append(gate_cnots(gate))
         layer = 1 + max((depth_by_qubit.get(q, 0) for q in gate.qubits), default=0)
         for q in gate.qubits:
@@ -479,7 +503,8 @@ def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
     # a running total in gate order, as one float: a non-integer alpha or
     # beta then rounds as the per-gate sum does, which a block sum times k
     # does not always (it can land on the other side of a .5)
-    cnot = np.cumsum(np.concatenate(([0.0], np.tile(block_cnots, k), tail_cnots)))[-1]
+    cnot = np.cumsum(np.concatenate(([0.0], np.tile(block_cnots, k), block_cnots[:shared],
+                                     tail_cnots)))[-1]
     # the frontier never decreases, so its maximum is the deepest layer; a
     # circuit whose gates touch no qubit still has one layer
     deepest = max(depth_by_qubit.values(), default=1 if circuit.gates else 0)
@@ -488,65 +513,98 @@ def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
 
 # --- export ------------------------------------------------------------------
 
-def _json_gate_entry(gate: Gate) -> dict:
-    entry = {"kind": gate.kind,
-             "controls": [[q, pol] for q, pol in gate.controls],
-             "targets": list(gate.targets),
-             "params": {}}
+def _joined(gates: list, render, sep: str) -> str:
+    """``sep.join(render(gate) for gate in gates)``, calling ``render`` once
+    per distinct gate object (keyed by identity); a repeated block of shared
+    gates (see ``_repeats``) is joined once and repeated."""
+    memo = {}
+
+    def text(gate):
+        if gate not in memo:
+            memo[gate] = render(gate)
+        return memo[gate]
+
+    p, k = _repeats(gates)
+    block = sep.join([text(gate) for gate in gates[:p]])
+    return sep.join([block] * k + [text(gate) for gate in gates[p * k:]])
+
+
+def _json_value(x, indent: str) -> str:
+    """``json.dumps(x, indent=1)`` for a value on a line that starts with
+    ``indent`` (a newline and the spaces before the value): lists, exact
+    ints, finite floats and strings directly, by json's rules; anything else
+    (bools, nan, numpy scalars, None) through json itself."""
+    if type(x) is list:
+        if not x:
+            return "[]"
+        inner = indent + " "
+        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in x]) + indent + "]"
+    if type(x) is int:
+        return int.__repr__(x)
+    if type(x) is float and math.isfinite(x):
+        return float.__repr__(x)
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    return json.dumps(x, indent=1).replace("\n", indent)
+
+
+def _json_gate(gate: Gate) -> str:
+    """The text ``json.dumps`` gives a gate's entry {kind, controls,
+    targets, params} two levels deep in the document, written directly for
+    that schema."""
+    i3, i4 = "\n   ", "\n    "    # line starts of the entry's keys and of params' keys
+    controls = _json_value([[q, pol] for q, pol in gate.controls], i3)
+    targets = _json_value(list(gate.targets), i3)
+    params = []
     if gate.kind == "ry":
-        entry["params"]["angle"] = gate.angle
-    if gate.kind == "u":
-        entry["params"]["label"] = gate.label
-        entry["params"]["re"] = gate.matrix.real.tolist()
-        entry["params"]["im"] = gate.matrix.imag.tolist()
-    return entry
+        params = [f'"angle": {_json_value(gate.angle, i4)}']
+    elif gate.kind == "u":
+        params = [f'"label": {_json_value(gate.label, i4)}',
+                  f'"re": {_json_value(gate.matrix.real.tolist(), i4)}',
+                  f'"im": {_json_value(gate.matrix.imag.tolist(), i4)}']
+    params = "{" + i4 + ("," + i4).join(params) + i3 + "}" if params else "{}"
+    return (f'  {{{i3}"kind": {_json_value(gate.kind, i3)},{i3}"controls": {controls},'
+            f'{i3}"targets": {targets},{i3}"params": {params}\n  }}')
 
 
 def circuit_to_json(circuit: Circuit) -> str:
     """Stable JSON gate list with a register manifest.
 
     The text is that of ``json.dumps({"registers": ..., "gates": [...]},
-    indent=1)``. Each distinct gate object is encoded once, and a repeated
-    block of shared gates (see ``_repeats``) is joined once per repeat.
+    indent=1)``. Each distinct gate object is written once, by a writer for
+    the entry schema, and a repeated block of shared gates (see
+    ``_repeats``) is joined once per repeat.
     """
-    encoded = {}
-
-    def text(gate):
-        # an entry sits two levels deep: inside the document, inside "gates"
-        if gate not in encoded:
-            entry = json.dumps(_json_gate_entry(gate), indent=1)
-            encoded[gate] = "  " + entry.replace("\n", "\n  ")
-        return encoded[gate]
-
-    p, k = _repeats(circuit.gates)
-    entries = [text(g) for g in circuit.gates[:p]] * k + \
-        [text(g) for g in circuit.gates[p * k:]]
     registers = json.dumps({name: list(qs) for name, qs in circuit.registers.items()},
                            indent=1).replace("\n", "\n ")
-    gates = "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
+    gates = "[\n" + _joined(circuit.gates, _json_gate, ",\n") + "\n ]" if circuit.gates else "[]"
     return '{\n "registers": ' + registers + ',\n "gates": ' + gates + "\n}"
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
     """OpenQASM-3-style text; multi-controls stay as ctrl/negctrl modifiers
-    and named composite gates rather than being decomposed."""
+    and named composite gates rather than being decomposed. Each distinct
+    gate object's line is formatted once (see ``_joined``)."""
     names = {}
     for reg, qs in circuit.registers.items():
         for k, q in enumerate(qs):
             names[q] = f"{reg}[{k}]"
-    lines = ["OPENQASM 3.0;"]
-    lines += [f"qubit[{len(qs)}] {reg};" for reg, qs in circuit.registers.items()]
-    for gate in circuit.gates:
+
+    def line(gate):
         mods = "".join("ctrl @ " if pol else "negctrl @ " for _, pol in gate.controls)
         args = ", ".join(names[q] for q in gate.qubits)
         if gate.kind == "x":
-            lines.append(f"{mods}x {args};")
-        elif gate.kind == "ry":
-            lines.append(f"{mods}ry({gate.angle!r}) {args};")
-        elif gate.kind == "u":
-            lines.append(f"{mods}{gate.label or 'u'} {args};  // composite unitary")
-        elif gate.kind == "measure_nonsel":
-            lines.append(f"measure {args};  // non-selective, outcome discarded")
-        elif gate.kind == "reset":
-            lines.append(f"reset {args};")
+            return f"{mods}x {args};"
+        if gate.kind == "ry":
+            return f"{mods}ry({gate.angle!r}) {args};"
+        if gate.kind == "u":
+            return f"{mods}{gate.label or 'u'} {args};  // composite unitary"
+        if gate.kind == "measure_nonsel":
+            return f"measure {args};  // non-selective, outcome discarded"
+        return f"reset {args};"
+
+    lines = ["OPENQASM 3.0;"]
+    lines += [f"qubit[{len(qs)}] {reg};" for reg, qs in circuit.registers.items()]
+    if circuit.gates:
+        lines.append(_joined(circuit.gates, line, "\n"))
     return "\n".join(lines) + "\n"

@@ -135,29 +135,13 @@ def _read_chain_spec(path: str) -> tuple:
     """(N, omega, matrices) from a chain spec file; every fault is a usage error."""
     try:
         with open(path) as handle:
-            obj = json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read spec file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"spec file is not valid JSON: {exc}") from exc
-    missing = [k for k in ("N", "omega", "unitaries") if not isinstance(obj, dict) or k not in obj]
-    if missing:
-        raise UsageError(f"spec file is missing the keys {missing}")
-    n, omega = obj["N"], obj["omega"]
-    if not isinstance(omega, (int, float)) or not 0 <= omega <= 1:
-        raise UsageError(f"spec omega must be a number in [0, 1], got {omega!r}")
     try:
-        mats = [core.matrix_from_json(u) for u in obj["unitaries"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"spec unitaries must be a list of re/im matrices ({exc!r})") from exc
-    if not isinstance(n, int) or n < 2 or len(mats) != n - 1:
-        raise UsageError(f"spec needs an integer N >= 2 and N - 1 unitaries, "
-                         f"got N={n!r} and {len(mats)} unitaries")
-    shapes = list(dict.fromkeys(m.shape for m in mats))
-    if len(shapes) > 1 or shapes[0][0] != shapes[0][1]:
-        raise UsageError(f"spec unitaries must be square matrices of one size, "
-                         f"got shapes {shapes}")
-    return n, omega, mats
+        return core.chain_fields_from_json(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _chain_from_args(args) -> core.LinearChainSpec:

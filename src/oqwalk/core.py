@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrixkit import asmatrix, dagger, is_unitary
+from .matrixkit import asmatrix, dagger, unitary_deviation
 
 CONSTRUCTION_TOL = 1e-10
 
@@ -245,11 +245,16 @@ class LinearChainSpec:
         if len(us) != n_nodes - 1:
             raise ValueError(f"need {n_nodes - 1} unitaries for {n_nodes} nodes, got {len(us)}")
         dim = us[0].shape[0]
-        for k, u in enumerate(us):
-            if u.shape != (dim, dim):
-                raise ValueError(f"unitary {k} has shape {u.shape}, expected {(dim, dim)}")
-            if not is_unitary(u, CONSTRUCTION_TOL):
-                raise ValueError(f"matrix {k} is not unitary within {CONSTRUCTION_TOL}")
+        fits = next((k for k, u in enumerate(us) if u.shape != (dim, dim)), len(us))
+        # one product for the matrices before the first misshapen one, and
+        # the first fault in index order is the one reported
+        if fits:
+            unitary = unitary_deviation(np.array(us[:fits])) <= CONSTRUCTION_TOL
+            if not unitary.all():
+                raise ValueError(f"matrix {np.argmin(unitary)} is not unitary "
+                                 f"within {CONSTRUCTION_TOL}")
+        if fits < len(us):
+            raise ValueError(f"unitary {fits} has shape {us[fits].shape}, expected {(dim, dim)}")
         object.__setattr__(self, "n_nodes", n_nodes)
         object.__setattr__(self, "omega", float(omega))
         object.__setattr__(self, "unitaries", us)
@@ -374,10 +379,21 @@ def spec_to_json(spec: OqwSpec) -> str:
     return json.dumps({"N": spec.n_nodes, "dH": spec.walker_dim, "jumps": jumps}, indent=1)
 
 
+def _fields(obj, keys) -> list:
+    """``obj[key]`` for each key; a ValueError names every missing one."""
+    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise ValueError(f"spec file is missing the keys {missing}")
+    return [obj[k] for k in keys]
+
+
 def spec_from_json(text: str) -> OqwSpec:
-    obj = json.loads(text)
-    jumps = {(e["from"], e["to"]): matrix_from_json(e) for e in obj["jumps"]}
-    return OqwSpec(obj["N"], obj["dH"], jumps)
+    n, dh, entries = _fields(json.loads(text), ("N", "dH", "jumps"))
+    jumps = {}
+    for entry in entries:
+        i, j, _, _ = _fields(entry, ("from", "to", "re", "im"))
+        jumps[(i, j)] = matrix_from_json(entry)
+    return OqwSpec(n, dh, jumps)
 
 
 def chain_to_json(chain: LinearChainSpec) -> str:
@@ -385,7 +401,31 @@ def chain_to_json(chain: LinearChainSpec) -> str:
                        "unitaries": [_matrix_to_json(u) for u in chain.unitaries]}, indent=1)
 
 
+def chain_fields_from_json(text: str) -> tuple:
+    """(N, omega, matrices) of a chain document, checked as far as the
+    format goes: keys, omega in [0, 1], N - 1 re/im matrices, all square
+    and of one size. Each fault is a ValueError naming it; unitarity and
+    completeness are left to the caller."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"spec file is not valid JSON: {exc}") from exc
+    n, omega, unitaries = _fields(obj, ("N", "omega", "unitaries"))
+    if not isinstance(omega, (int, float)) or not 0 <= omega <= 1:
+        raise ValueError(f"spec omega must be a number in [0, 1], got {omega!r}")
+    try:
+        mats = [matrix_from_json(u) for u in unitaries]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"spec unitaries must be a list of re/im matrices ({exc!r})") from exc
+    if not isinstance(n, int) or n < 2 or len(mats) != n - 1:
+        raise ValueError(f"spec needs an integer N >= 2 and N - 1 unitaries, "
+                         f"got N={n!r} and {len(mats)} unitaries")
+    shapes = list(dict.fromkeys(m.shape for m in mats))
+    if len(shapes) > 1 or shapes[0][0] != shapes[0][1]:
+        raise ValueError(f"spec unitaries must be square matrices of one size, "
+                         f"got shapes {shapes}")
+    return n, omega, mats
+
+
 def chain_from_json(text: str) -> LinearChainSpec:
-    obj = json.loads(text)
-    return LinearChainSpec(obj["N"], obj["omega"],
-                           [matrix_from_json(u) for u in obj["unitaries"]])
+    return LinearChainSpec(*chain_fields_from_json(text))

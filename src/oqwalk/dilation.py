@@ -14,7 +14,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import core
-from .matrixkit import asmatrix, complete_isometry, is_unitary, psd_sqrt
+from .matrixkit import asmatrix, complete_isometry, is_unitary, psd_sqrt, unitary_deviation
 
 UNITARY_TOL = 1e-10
 
@@ -133,11 +133,9 @@ def _locality_unitary(factor_dims, entries, kind: str,
     if len(entries) != len(pairs) or sources != pairs or targets != pairs:
         raise ValueError("dilation matrix is not unitary: its blocks do not map the "
                          "(node, level) pairs one to one")
-    ops = np.array([op for *_, op in entries], dtype=complex)
-    gram = ops.conj().swapaxes(1, 2) @ ops - np.eye(ops.shape[-1])
-    deviation = np.abs(gram).reshape(len(ops), -1).max(axis=1)
-    if deviation.max() > UNITARY_TOL:
-        source, target, level_in, level_out, _ = entries[int(np.argmax(deviation > UNITARY_TOL))]
+    unitary = unitary_deviation([op for *_, op in entries]) <= UNITARY_TOL
+    if not unitary.all():
+        source, target, level_in, level_out, _ = entries[int(np.argmin(unitary))]
         raise ValueError(f"dilation matrix is not unitary: block ({source}, {level_in}) "
                          f"-> ({target}, {level_out}) is not")
     u = np.zeros((dim, dim), dtype=complex)

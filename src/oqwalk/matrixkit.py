@@ -36,13 +36,19 @@ def kron(a, b) -> np.ndarray:
     return np.kron(asmatrix(a), asmatrix(b))
 
 
+def unitary_deviation(u) -> np.ndarray:
+    """``max |U†U - I|`` for each matrix U of a (..., d, d) stack, in one
+    batched product; a 2-D input gives one value. nan where U holds a nan."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        raise ValueError(f"unitarity is only defined for square matrices, got {u.shape}")
+    gram = u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
+    return np.abs(gram).max(axis=(-2, -1))
+
+
 def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``max |u†u - I|`` is at most ``tol``. Rejects non-square input."""
-    u = asmatrix(u)
-    n, m = u.shape
-    if n != m:
-        raise ValueError(f"unitarity is only defined for square matrices, got {u.shape}")
-    return np.abs(u.conj().T @ u - np.eye(n)).max() <= tol
+    return unitary_deviation(asmatrix(u)) <= tol
 
 
 def psd_sqrt(a, herm_tol: float = 1e-8, eig_floor: float = -1e-10) -> np.ndarray:

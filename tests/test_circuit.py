@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import threading
 import tracemalloc
@@ -856,16 +857,32 @@ def reference_json(c):
                        "gates": gates}, indent=1)
 
 
+def reference_qasm(c):
+    """The per-gate QASM writer: one line formatted per gate occurrence."""
+    names = {q: f"{reg}[{k}]" for reg, qs in c.registers.items() for k, q in enumerate(qs)}
+    lines = ["OPENQASM 3.0;"] + [f"qubit[{len(qs)}] {reg};" for reg, qs in c.registers.items()]
+    for gate in c.gates:
+        mods = "".join("ctrl @ " if pol else "negctrl @ " for _, pol in gate.controls)
+        args = ", ".join(names[q] for q in [q for q, _ in gate.controls] + list(gate.targets))
+        lines.append({"x": f"{mods}x {args};",
+                      "ry": f"{mods}ry({gate.angle!r}) {args};",
+                      "u": f"{mods}{gate.label or 'u'} {args};  // composite unitary",
+                      "measure_nonsel": f"measure {args};  // non-selective, outcome discarded",
+                      "reset": f"reset {args};"}[gate.kind])
+    return "\n".join(lines) + "\n"
+
+
 COST_PARAMS = [(16.0, 0.0), (2.5, 0.5), (3.3, -1.7)]
 
 
-def assert_cost_and_json_match_reference(c):
+def assert_cost_and_exports_match_reference(c):
     for model in circuit.COST_MODELS:
         for alpha, beta in COST_PARAMS:
             got = circuit.cost_estimate(c, model, alpha, beta)
             assert got == reference_cost(c, model, alpha, beta)
             assert type(got[0]) is int and type(got[1]) is int
     assert circuit.circuit_to_json(c) == reference_json(c)
+    assert circuit.circuit_to_qasm(c) == reference_qasm(c)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -875,7 +892,7 @@ def test_walk_cost_and_json_equal_per_gate_references(n_nodes, d):
     for order in ("rb-lb", "lb-rb"):
         for policy in ("reuse", "fresh"):
             for n in (0, 1, 2, 5, 9):
-                assert_cost_and_json_match_reference(
+                assert_cost_and_exports_match_reference(
                     circuit.build_walk(chain, n, policy, order))
 
 
@@ -910,7 +927,49 @@ def test_hand_built_cost_and_json_equal_per_gate_references(case):
         "no-qubits": ([Gate("x", ())] * 3, (1, 3)),
     }[case]
     assert circuit._repeats(gates) == periodic
-    assert_cost_and_json_match_reference(Circuit({"q": (0, 1, 2, 3)}, gates))
+    assert_cost_and_exports_match_reference(Circuit({"q": (0, 1, 2, 3)}, gates))
+
+
+def adversarial_gates():
+    """Gates whose JSON entries take every path of json's own encoder."""
+    rng = np.random.default_rng(43)
+    signed_zeros = np.array([[-0.0, 1.0], [1.0, -0.0]]) + 1j * np.array([[-0.0, 0.0], [0.0, 0.0]])
+    return [Gate("ry", (0,), angle=np.float64(0.1)), Gate("ry", (0,), angle=3),
+            Gate("ry", (1,), ((0, 1),), angle=math.nan), Gate("ry", (0,), angle=math.inf),
+            Gate("ry", (0,), angle=-math.inf), Gate("ry", (0,)),
+            Gate("x", (0,), ((1, True), (2, False))), Gate("x", ()),
+            Gate("u", (0,), matrix=signed_zeros, label='quote" back\\slash\nnewline é ψ'),
+            Gate("u", (), ((3, 0),), matrix=np.array([[1.0]]), label=""),
+            Gate("u", (0, 2), ((1, 1),), matrix=haar_unitary(4, rng), label="U\t4"),
+            Gate("u", (1,), matrix=np.eye(2, dtype=int)),
+            Gate("measure_nonsel", (3,)), Gate("reset", (2,))]
+
+
+def test_json_writer_equals_json_dumps_on_adversarial_gates():
+    gates = adversarial_gates()
+    c = Circuit({"q": (0, 1, 2, 3)}, gates + gates[::-1])
+    assert circuit.circuit_to_json(c) == reference_json(c)
+    assert circuit.circuit_to_qasm(c) == reference_qasm(c)
+    for gate in gates:
+        single = Circuit({"q": (0, 1, 2, 3)}, [gate] * 3)
+        assert circuit.circuit_to_json(single) == reference_json(single)
+
+
+@pytest.mark.parametrize("gate", [Gate("x", (np.int64(1),)),
+                                  Gate("x", (0,), ((np.int64(1), 1),)),
+                                  Gate("x", (0,), ((1, np.int64(1)),))],
+                         ids=["numpy-target", "numpy-control", "numpy-polarity"])
+def test_json_writer_raises_where_json_dumps_raises(gate):
+    c = Circuit({"q": (0, 1)}, [gate])
+    with pytest.raises(Exception) as want:
+        reference_json(c)
+    with pytest.raises(want.type):
+        circuit.circuit_to_json(c)
+
+
+def test_gate_qubits_are_kept():
+    gate = Gate("x", (2,), ((0, 1), (1, 0)))
+    assert gate.qubits == (0, 1, 2) and gate.qubits is gate.qubits
 
 
 def test_repeats_compares_gates_by_identity():
@@ -961,8 +1020,9 @@ def test_walk_cost_work_does_not_grow_with_reused_steps(monkeypatch):
         per_steps[n] = len(calls)
     step_gates = [g for g in circuit.build_step(chain).gates
                   if g.kind not in ("measure_nonsel", "reset")]
-    # one block (a step and two resets) and one final step
-    assert per_steps == {n: 2 * len(step_gates) for n in (4, 8, 16)}
+    # one block (a step and two resets); the final step is the block's first
+    # gates, priced with it
+    assert per_steps == {n: len(step_gates) for n in (4, 8, 16)}
 
 
 # --- export ----------------------------------------------------------------------

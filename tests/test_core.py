@@ -6,7 +6,8 @@ import pytest
 
 from oqwalk import core
 from oqwalk.analysis import ChainParams
-from oqwalk.matrixkit import X, haar_unitary, projector, random_density, random_pure_state
+from oqwalk.matrixkit import (X, haar_unitaries, haar_unitary, projector, random_density,
+                              random_pure_state)
 from oracles import power_iterate, transition_matrix
 
 
@@ -212,6 +213,21 @@ def test_linear_chain_validation():
         core.LinearChainSpec(3, 0.5, [np.eye(2)])
 
 
+@pytest.mark.parametrize("faults, message", [
+    ({2: "scale", 4: "scale"}, "matrix 2 is not unitary"),
+    ({1: "scale", 3: "shape"}, "matrix 1 is not unitary"),
+    ({1: "shape", 3: "scale"}, r"unitary 1 has shape \(3, 3\), expected \(2, 2\)"),
+    ({0: "nan"}, "matrix 0 is not unitary"),
+], ids=["first-of-two", "unitarity-before-shape", "shape-before-unitarity", "nan"])
+def test_linear_chain_names_its_first_faulty_matrix(faults, message):
+    us = list(haar_unitaries(5, 2, np.random.default_rng(13)))
+    for k, fault in faults.items():
+        us[k] = {"scale": us[k] * (1 + 1e-9), "shape": np.eye(3),
+                 "nan": np.full((2, 2), np.nan)}[fault]
+    with pytest.raises(ValueError, match=message):
+        core.LinearChainSpec(6, 0.5, us)
+
+
 def test_spec_json_round_trip():
     rng = np.random.default_rng(11)
     spec = random_valid_spec(4, 2, rng)
@@ -230,6 +246,50 @@ def test_chain_json_round_trip():
     assert back.omega == chain.omega
     for u1, u2 in zip(back.unitaries, chain.unitaries):
         assert np.array_equal(u1, u2)
+
+
+CHAIN_DOC = {"N": 2, "omega": 0.5,
+             "unitaries": [{"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}]}
+
+
+@pytest.mark.parametrize("reader", [core.chain_from_json, core.chain_fields_from_json])
+@pytest.mark.parametrize("key", ["N", "omega", "unitaries"])
+def test_chain_readers_name_a_missing_key(reader, key):
+    doc = {k: v for k, v in CHAIN_DOC.items() if k != key}
+    with pytest.raises(ValueError, match=rf"spec file is missing the keys \['{key}'\]"):
+        reader(json.dumps(doc))
+
+
+@pytest.mark.parametrize("reader", [core.chain_from_json, core.chain_fields_from_json])
+@pytest.mark.parametrize("text, fault", [
+    ("{not json", "spec file is not valid JSON"),
+    ("[]", r"missing the keys \['N', 'omega', 'unitaries'\]"),
+    (json.dumps({**CHAIN_DOC, "omega": "0.5"}), "spec omega must be a number"),
+    (json.dumps({**CHAIN_DOC, "unitaries": [{"re": [[1.0]]}]}), "list of re/im matrices"),
+    (json.dumps({**CHAIN_DOC, "N": 3}), "got N=3 and 1 unitaries"),
+], ids=["malformed", "not-an-object", "omega-string", "missing-im", "count"])
+def test_chain_readers_raise_value_errors(reader, text, fault):
+    with pytest.raises(ValueError, match=fault):
+        reader(text)
+
+
+def test_chain_fields_reader_leaves_unitarity_to_the_caller():
+    doc = {**CHAIN_DOC, "unitaries": [{"re": [[1.0, 0.0], [0.0, 0.5]], "im": [[0.0] * 2] * 2}]}
+    n, omega, mats = core.chain_fields_from_json(json.dumps(doc))
+    assert (n, omega) == (2, 0.5) and np.array_equal(mats[0], np.diag([1.0, 0.5]))
+    with pytest.raises(ValueError, match="matrix 0 is not unitary"):
+        core.chain_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["N", "dH", "jumps", "from", "to", "re", "im"])
+def test_spec_reader_names_a_missing_key(key):
+    doc = json.loads(core.spec_to_json(core.chain_to_spec(core.LinearChainSpec(2, 0.5, [X]))))
+    if key in doc:
+        del doc[key]
+    else:
+        del doc["jumps"][1][key]
+    with pytest.raises(ValueError, match=rf"spec file is missing the keys \['{key}'\]"):
+        core.spec_from_json(json.dumps(doc))
 
 
 def test_spec_json_schema_fields():

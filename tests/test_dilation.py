@@ -508,6 +508,15 @@ def test_block_check_rejects_a_non_unitary_block(n, d):
         dilation._locality_unitary((d, n, 2), entries, "local")
 
 
+def test_block_check_rejects_a_nan_block():
+    chain = random_chain(3, 0.6, np.random.default_rng(415), dim=2)
+    entries = u_loc_entries(chain)
+    source, target, level_in, level_out, op = entries[1]
+    entries[1] = (source, target, level_in, level_out, np.full_like(op, np.nan))
+    with pytest.raises(ValueError, match=rf"not unitary: block \({source}, {level_in}\)"):
+        dilation._locality_unitary((2, 3, 2), entries, "local")
+
+
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (5, 3), (8, 2)])
 def test_block_check_rejects_two_blocks_with_one_output(n, d):
     chain = random_chain(n, 0.6, np.random.default_rng(420 + n), dim=d)

@@ -17,6 +17,7 @@ from oqwalk.matrixkit import (
     random_density,
     random_pure_state,
     trace_distance,
+    unitary_deviation,
 )
 import oracles
 
@@ -56,6 +57,32 @@ def test_is_unitary():
 def test_is_unitary_rejects_non_square():
     with pytest.raises(ValueError):
         is_unitary(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_unitary_deviation_decides_each_matrix_of_a_stack_as_alone(d):
+    rng = np.random.default_rng(60 + d)
+    stack = haar_unitaries(7, d, rng)
+    stack[1] *= 1 + 1e-9                    # just outside the default tolerance
+    stack[3] *= 1 + 1e-13                   # just inside it
+    stack[4] = rng.normal(size=(d, d))
+    stack[5, 0, 0] = np.nan
+    deviation = unitary_deviation(stack)
+    assert deviation.shape == (7,)
+    for u, dev in zip(stack, deviation):
+        alone = np.abs(u.conj().T @ u - np.eye(d)).max()
+        assert dev == pytest.approx(alone, rel=1e-12, abs=1e-15) or np.isnan(alone)
+        assert bool(dev <= 1e-10) == is_unitary(u)
+    assert [is_unitary(u) for u in stack] == [True, False, True, True, False, False, True]
+    assert np.isnan(deviation[5])
+    assert unitary_deviation(stack.reshape(7, 1, d, d)).shape == (7, 1)
+    assert unitary_deviation(stack[0]).shape == ()
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 2, 3), (3,)])
+def test_unitary_deviation_rejects_non_square(shape):
+    with pytest.raises(ValueError, match="square matrices"):
+        unitary_deviation(np.ones(shape))
 
 
 def test_psd_sqrt_basics():
