@@ -372,14 +372,13 @@ def simulate_density(circuit: Circuit, initial: core.DiagonalState,
     X runs fused into permutations and ``u`` runs into multiplexors); the
     plan is kept on the circuit and made again when its gate list or
     registers change. The node register is classical, so the state is its
-    padded (2^g, 2^h, 2^h) block stack, which needs no check that it stays
-    diagonal; a circuit that would put a node qubit in superposition runs
-    all-quantum on the dense matrix instead.
-    Non-selective measurements remove the measured qubit's coherences; reset
-    traces and reinitializes. When ``omega`` is given, the RY preparation
-    angles found in the circuit are checked against it. No mass may be left
-    in padded levels (``DiagonalState.from_padded``), and the dense route
-    must come back diagonal too (``DiagonalState.from_dense``).
+    padded (2^g, 2^h, 2^h) block stack. A non-selective measurement makes
+    the measured qubit classical; reset traces it out and attaches it again
+    as |0>. When ``omega`` is given, the RY preparation angles found in the
+    circuit are checked against it. A circuit that leaves a node qubit in
+    superposition ends on the dense matrix, which must come back diagonal
+    (``DiagonalState.from_dense``); either way no mass may be left in
+    padded levels (``DiagonalState.from_padded``).
     """
     compiled = _density_plan(circuit)
     if omega is not None:
@@ -389,14 +388,12 @@ def simulate_density(circuit: Circuit, initial: core.DiagonalState,
                 raise ValueError(f"RY angle {angle} does not prepare omega={omega}")
     plan, (dw, dn) = compiled.plan, compiled.dims
     n, d, trace = initial.n_nodes, initial.walker_dim, initial.total_trace()
+    blocks = np.zeros((dn, dw, dw), dtype=complex)
+    blocks[:n, :d, :d] = initial.blocks
+    out = plan.run(blocks)
     if plan.classical:
-        blocks = np.zeros((dn, dw, dw), dtype=complex)
-        blocks[:n, :d, :d] = initial.blocks
-        return core.DiagonalState.from_padded(plan.run(blocks).reshape(dn, dw, dw), n, d, trace)
-    nq = len(plan.live)
-    rho = plan.run(initial.to_dense(compiled.dims).reshape((2,) * (2 * nq)))
-    return core.DiagonalState.from_dense(rho.reshape(2 ** nq, 2 ** nq), n, d,
-                                         compiled.dims, trace=trace)
+        return core.DiagonalState.from_padded(out.reshape(dn, dw, dw), n, d, trace)
+    return core.DiagonalState.from_dense(out, n, d, compiled.dims, trace=trace)
 
 
 # --- cost model --------------------------------------------------------------

@@ -10,14 +10,15 @@ A density state holds each qubit as classical or quantum, marked by the
 compiler at every op from the gate list alone. A classical qubit's ket and
 bra are equal, so it has one axis, shared by both sides; a quantum qubit has
 a ket axis and a bra axis. The state tensor is the classical axes, then the
-quantum ket axes, then the quantum bra axes: one classical index times a
-dense ket/bra part. The qubits a caller declares classical (a walk's node
-register) start so, and each ancilla is classical after its attach,
-``measure_nonsel`` or reset; a ``u`` or RY on a classical qubit, or an X on
-one under a quantum control, first makes it quantum. Over classical qubits
-an X run is one gather on the classical index, and a ``u`` run with
-classical select qubits one batched product over it. With no classical
-qubit (``circuit_matrix``) the state is the dense ``(2,) * 2nq`` tensor.
+quantum ket axes (in attach order), then the quantum bra axes: one classical
+index times a dense ket/bra part. The qubits a caller declares classical (a
+walk's node register) start so, and each ancilla is classical after its
+attach, ``measure_nonsel`` or reset: a measurement lays a quantum qubit's
+diagonal on a new classical axis. A ``u`` or RY on a classical qubit, or an
+X on one under a quantum control, first makes it quantum. Over classical
+qubits an X run is one gather on the classical index, and a ``u`` run with
+classical select qubits one batched product over it. A state with no
+classical qubit is the dense ``(2,) * 2nq`` tensor.
 
 A gate list is compiled once into ops. Each op is (fn, swaps): fn(t, spare)
 takes the state tensor t and a spare buffer at least as large as any state
@@ -89,10 +90,7 @@ class _GateShape(NamedTuple):
     kind: str
     targets: tuple
     controls: tuple
-
-    @property
-    def qubits(self) -> tuple:
-        return tuple(q for q, _ in self.controls) + self.targets
+    qubits: tuple
 
 
 def _joins(run: list, patterns: set, gate: _GateShape, x_class) -> bool:
@@ -256,18 +254,6 @@ def _diagonal_op(shape: tuple, axes: tuple, stack: bool) -> tuple:
     return (split if stack else trace), True
 
 
-def _measure_op(shape: tuple, ket: int, bra: int) -> tuple:
-    """Non-selective measurement of a qubit kept quantum: zero its ket != bra
-    slices."""
-    views = [_slice_view(shape, ((ket, v), (bra, 1 - v)), (), ())[0] for v in (0, 1)]
-
-    def op(t, spare):
-        for how in views:
-            _view(t, how)[...] = 0.0
-        return t
-    return op, False
-
-
 class Plan:
     """A gate list compiled against a qubit layout. ``live`` is the qubit
     order of the result, whose first ``len(classical)`` qubits are classical
@@ -315,26 +301,29 @@ def compile_gates(gates: list, live, keep, density: bool = True, classical=()) -
     every op sees one layout.
 
     ``density``: the state holds the qubits of ``live`` in the order
-    ``classical``, then the rest of ``live`` (see the module docstring), and
-    comes back in that layout. ``classical`` lists qubits whose ket and bra
-    are equal in the input: each is then one axis of the classical index. A
-    qubit enters the state as |0><0| when first touched, and one not in
-    ``keep`` is traced out as soon as no later gate references it; so the
-    live dimension stays at walker x node x one ancilla pair even for the
-    fresh ancilla policy. A circuit that would not give the state back in
-    its input layout (say it leaves a qubit of ``classical`` in
-    superposition) takes the all-quantum case: no qubit is classical, the
-    state is the dense ``(2,) * 2nq`` tensor in ``live`` order, and the
-    plan's ``classical`` is empty. Otherwise (``density`` false) the state
-    is ``(2,) * nq`` plus one trailing axis of size 2^nq, ket side only,
-    ``live`` must cover every qubit and none is classical.
+    ``classical``, then the rest of ``live`` (see the module docstring).
+    ``classical`` lists qubits whose ket and bra are equal in the input:
+    each is then one axis of the classical index. A qubit enters the state
+    as |0><0| when first touched, and one not in ``keep`` is traced out as
+    soon as no later gate references it; so the live dimension stays at
+    walker x node x one ancilla pair even for the fresh ancilla policy. A
+    circuit that ends in the input layout gives the state back in it. Any
+    other (say one that leaves a qubit of ``classical`` in superposition)
+    ends by making every qubit quantum, so the result is the dense
+    ``(2,) * 2nq`` tensor in attach order and the plan's ``classical`` is
+    empty.
+
+    Without ``density`` the state is ``(2,) * nq`` plus one trailing axis of
+    size 2^nq, ket side only, and every qubit is quantum: ``classical`` is
+    ignored; a gate on a qubit outside ``live``, a measurement or a reset
+    raises ``ValueError``.
 
     Everything but the gates' matrices and angles depends on the gate
     shapes alone (``_schedule``), so circuits of one shape share that work.
     """
-    shapes = tuple(_GateShape(g.kind, tuple(g.targets), tuple(g.controls)) for g in gates)
+    shapes = tuple(_GateShape(g.kind, g.targets, tuple(g.controls), g.qubits) for g in gates)
     steps, final, size, held = _schedule(shapes, tuple(live), frozenset(keep), density,
-                                         tuple(classical) if density else None)
+                                         tuple(classical) if density else ())
     ops = [_unitary_op(step, gates) if isinstance(step, _UnitarySlots) else step
            for step in steps]
     return Plan(ops, list(final), size, held)
@@ -342,14 +331,14 @@ def compile_gates(gates: list, live, keep, density: bool = True, classical=()) -
 
 @functools.lru_cache(maxsize=64)
 def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool,
-              classical: tuple | None) -> tuple:
+              classical: tuple) -> tuple:
     """The ops of ``compile_gates`` for gates of these shapes, with each
     multiplexor left as its ``_UnitarySlots``; the final qubit order; the
     largest state size; the classical qubits the plan takes and gives.
-    ``classical`` None is the all-quantum case: ancillas attach quantum and
-    a measurement zeroes their coherences."""
-    marking = classical is not None
-    cl = list(classical or ())
+
+    The quantum qubits stay in attach order (``order``), so a state whose
+    qubits are all quantum is the dense tensor in that order."""
+    cl = list(classical)
     qu = [q for q in live if q not in cl]
     # live qubits in attach order; trace-outs follow it, as the per-gate
     # simulator's do, so their sums round alike
@@ -359,6 +348,10 @@ def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool,
     for pos, gate in enumerate(gates):
         for q in gate.qubits:
             last_use[q] = pos
+    outside = sorted(set(last_use) - set(live))
+    if outside and not density:
+        raise ValueError(f"gates reference qubits {outside} outside the live qubits "
+                         f"{sorted(live)}")
     # where a trace-out can fall due: a last use, or the first gate for a
     # qubit that no gate touches
     ends = set(last_use.values()) | {0}
@@ -414,7 +407,7 @@ def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool,
         flush()
         shape, axis = layout["shape"], cl.index(q)
         cl.remove(q)
-        qu.append(q)
+        qu[:] = [p for p in order if p == q or p in qu]
         relayout()
         steps.append(_embed_op(shape, layout["shape"],
                                [(((axis, v),), tuple((a, v) for a in axes(q))) for v in (0, 1)]))
@@ -423,9 +416,6 @@ def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool,
         flush()
         if q in cl:
             return                 # a classical qubit is measured already
-        if not marking:
-            steps.append(_measure_op(layout["shape"], *axes(q)))
-            return
         steps.append(_diagonal_op(layout["shape"], axes(q), True))
         qu.remove(q)
         cl.insert(0, q)
@@ -446,14 +436,16 @@ def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool,
             else ()
         for q in dict.fromkeys(gate.qubits):
             if q not in order:
-                attach(q, not marking or q in lifted)
+                attach(q, q in lifted)
             elif q in cl and q in lifted:
                 promote(q)
+        if gate.kind in ("measure_nonsel", "reset") and not density:
+            raise ValueError(f"a ket-side plan cannot apply {gate.kind}")
         if gate.kind == "measure_nonsel":
             measure(gate.targets[0])
         elif gate.kind == "reset":
             trace_out(gate.targets[0])
-            attach(gate.targets[0], not marking)
+            attach(gate.targets[0], False)
         else:
             if not _joins(run, patterns, gate, x_class):
                 flush()
@@ -465,6 +457,7 @@ def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool,
     flush()
     for q in [q for q in order if q not in keep]:
         trace_out(q)
-    if marking and (cl, qu) != (list(classical), [q for q in live if q not in classical]):
-        return _schedule(gates, live, keep, density, None)
+    if (cl, qu) != (list(classical), [q for q in live if q not in classical]):
+        for q in list(cl):
+            promote(q)
     return tuple(steps), tuple(cl + qu), size, tuple(cl)

@@ -538,6 +538,19 @@ def test_circuit_matrix_rejects_measurement():
         circuit.circuit_matrix(c)
 
 
+def test_a_ket_side_plan_rejects_a_gate_outside_its_live_qubits():
+    # the ket side has no classical axes to attach a new qubit on
+    gates = [Gate("x", (1,), ((0, 1),))]
+    with pytest.raises(ValueError, match=r"qubits \[1\] outside the live qubits \[0\]"):
+        compiled.compile_gates(gates, [0], {0}, density=False)
+
+
+@pytest.mark.parametrize("kind", ["measure_nonsel", "reset"])
+def test_a_ket_side_plan_rejects_measurement_and_reset(kind):
+    with pytest.raises(ValueError, match=f"a ket-side plan cannot apply {kind}"):
+        compiled.compile_gates([Gate(kind, (0,))], [0, 1], {0, 1}, density=False)
+
+
 def test_gate_validation():
     with pytest.raises(ValueError, match="disjoint"):
         Gate("x", (0,), ((0, 1),))

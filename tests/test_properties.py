@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oqwalk import circuit, core, dilation
@@ -342,6 +342,67 @@ def test_classical_path_equals_per_gate_oracle_bitwise(n, d, order, policy, data
     assert walk._plan.plan.classical == walk.registers["qG"]
     want = oracles.simulate_density(walk, state, chain.omega)
     assert np.array_equal(got.blocks, want.blocks)
+
+
+def random_register_circuit(rng, h, g, superpose):
+    """Gates over a walker register (h qubits), a node register (g) and one
+    ancilla: ``u`` or RY on walker and node qubits, runs of X gates on any
+    qubit, and ``measure_nonsel`` or reset on the ancilla, each under random
+    controls. ``superpose`` starts with a ``u`` on the last node qubit. Every
+    node qubit is measured at the end, so the node register ends diagonal."""
+    anc = h + g
+    main, qubits = list(range(anc)), list(range(anc + 1))
+
+    def controls(target):
+        pool = [q for q in qubits if q != target]
+        picked = rng.permutation(pool)[:int(rng.integers(0, 3))]
+        return tuple((int(q), int(rng.integers(2))) for q in picked)
+
+    gates = [circuit.Gate("u", (anc - 1,), matrix=haar_unitary(2, rng))] if superpose else []
+    for _ in range(int(rng.integers(1, 7))):
+        kind = str(rng.choice(["u", "ry", "x", "measure_nonsel", "reset"]))
+        if kind in ("measure_nonsel", "reset"):
+            gates.append(circuit.Gate(kind, (anc,)))
+        elif kind == "x":
+            for t in rng.choice(qubits, int(rng.integers(1, 4))):
+                gates.append(circuit.Gate("x", (int(t),), controls(t)))
+        else:
+            t = int(rng.choice(main))
+            gates.append(circuit.Gate("u", (t,), controls(t), matrix=haar_unitary(2, rng))
+                         if kind == "u" else
+                         circuit.Gate("ry", (t,), controls(t), angle=float(rng.uniform(-4, 4))))
+    gates += [circuit.Gate("measure_nonsel", (q,)) for q in range(h, anc)]
+    return circuit.Circuit({"qH": tuple(main[:h]), "qG": tuple(main[h:]), "qA": (anc,)}, gates)
+
+
+@FEW
+@example(n=4, d=2, superpose=True, seed=1)
+@given(n=st.one_of(st.integers(1, 4).map(lambda k: 2 ** k),
+                   st.integers(3, 15).filter(lambda n: n & (n - 1))),
+       d=st.integers(1, 4), superpose=st.booleans(), seed=seeds)
+def test_register_circuits_equal_per_gate_oracle(n, d, superpose, seed):
+    # off the walk a circuit may leave node qubits in superposition, so the
+    # compiled state can end all-quantum; either route may find mass moved
+    # into a padded level, and then both must say so
+    rng = np.random.default_rng(seed)
+    h, g = max(1, (d - 1).bit_length()), max(1, (n - 1).bit_length())
+    circ = random_register_circuit(rng, h, g, superpose)
+    state = random_state(rng, n, d)
+    outcomes = []
+    for simulate in (circuit.simulate_density, oracles.simulate_density):
+        try:
+            outcomes.append(simulate(circ, state).blocks)
+        except RuntimeError as err:
+            outcomes.append(str(err).split(" (")[0])
+    got, want = outcomes
+    if superpose and g >= 2:
+        # the last node qubit is measured last, out of its input order
+        assert circ._plan.plan.classical == ()
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.abs(got - want).max() <= 1e-13
 
 
 # --- the walk kernel ---------------------------------------------------------
