@@ -64,12 +64,28 @@ class Gate:
 
 @dataclass
 class Circuit:
-    """Named registers plus an ordered gate list."""
+    """Named registers plus a gate list held as ``block`` applied ``repeat``
+    times, then the block's first ``tail`` gates (a block applied no times
+    is kept as its tail, applied once). Only ``gates`` expands the list, so
+    a repeated gate is validated, priced, written and compiled once."""
 
     registers: dict
-    gates: list = field(default_factory=list)
-    # the compiled simulate_density plan, see _density_plan
+    block: list = field(default_factory=list)
+    repeat: int = 1
+    tail: int = 0
+    # the compiled simulate_density plans, see _density_plan
     _plan: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.repeat < 0 or not 0 <= self.tail < max(len(self.block), 1):
+            raise ValueError(f"need repeat >= 0 and 0 <= tail < {len(self.block)} gates "
+                             f"in the block, got repeat={self.repeat} and tail={self.tail}")
+        if not self.repeat:
+            self.block, self.repeat, self.tail = self.block[:self.tail], 1, 0
+
+    @property
+    def gates(self) -> list:
+        return self.block * self.repeat + self.block[:self.tail]
 
     @property
     def n_qubits(self) -> int:
@@ -79,33 +95,13 @@ class Circuit:
         return [q for qs in self.registers.values() for q in qs]
 
     def validate(self) -> None:
-        """Raise if a gate touches an undeclared qubit. A repeated block of
-        shared gates (see ``_repeats``) is checked once, with the tail after
-        it: that is every distinct gate."""
+        """Raise if a gate touches an undeclared qubit; each block gate is
+        checked once."""
         declared = set(self.all_qubits())
-        p, k = _repeats(self.gates)
-        for gate in self.gates[:p] + self.gates[p * k:]:
+        for gate in self.block:
             missing = set(gate.qubits) - declared
             if missing:
                 raise ValueError(f"gate references undeclared qubits {sorted(missing)}")
-
-
-def _repeats(gates: list) -> tuple:
-    """(p, k) when ``gates`` starts with one block of p gates repeated k >= 2
-    times, the same objects each time; (0, 0) otherwise.
-
-    The block is taken to end where the first gate recurs, so a list whose
-    first gate also recurs inside its block reads as not periodic.
-    """
-    try:
-        p = gates.index(gates[0], 1)
-    except (IndexError, ValueError):
-        return 0, 0
-    block = gates[:p]
-    k = 1
-    while gates[k * p:(k + 1) * p] == block:
-        k += 1
-    return (p, k) if k >= 2 else (0, 0)
 
 
 def rotation_angle(omega: float) -> float:
@@ -150,7 +146,7 @@ def build_increment(g: int) -> Circuit:
 def build_decrement(g: int) -> Circuit:
     """|i> -> |(i-1) mod 2^g> on a g-qubit register."""
     inc = build_increment(g)
-    return Circuit(inc.registers, inc.gates[::-1])
+    return Circuit(inc.registers, inc.block[::-1])
 
 
 def _padded_unitary(u: np.ndarray, h_dim: int) -> np.ndarray:
@@ -287,13 +283,13 @@ def build_walk(chain: core.LinearChainSpec, n: int, ancilla_policy: str = "reuse
     """n concatenated steps.
 
     ``fresh`` allocates one (direction, flag) ancilla pair per step, for
-    h + g + 2n qubits total; ``reuse`` keeps a single pair and resets it
-    after every step. The two policies produce identical simulated states
-    because each pair is traced as soon as its step is over.
+    h + g + 2n qubits total, and returns one block; ``reuse`` keeps a single
+    pair and resets it after every step. The two policies produce identical
+    simulated states because each pair is traced as soon as its step is over.
 
-    A step's gates are built once per ancilla pair, so under ``reuse`` every
-    step is the same list of frozen ``Gate`` objects, repeated. Right-move
-    ``u`` gates also share the chain's unitary arrays whenever d = 2^h.
+    A step's gates are built once per ancilla pair; under ``reuse`` the
+    block is step + resets, repeated n - 1 times with the step as its tail.
+    Right-move ``u`` gates share the chain's unitary arrays when d = 2^h.
     """
     if n < 0:
         raise ValueError("step count must be non-negative")
@@ -304,16 +300,16 @@ def build_walk(chain: core.LinearChainSpec, n: int, ancilla_policy: str = "reuse
     if ancilla_policy == "fresh":
         qa_reg = tuple(range(base, base + n))
         qap_reg = tuple(range(base + n, base + 2 * n))
-        gates = [gate for qa, qap in zip(qa_reg, qap_reg)
-                 for gate in _step_gates(lay, qa, qap, chain.omega, order)]
+        structure = ([gate for qa, qap in zip(qa_reg, qap_reg)
+                      for gate in _step_gates(lay, qa, qap, chain.omega, order)],)
     elif ancilla_policy == "reuse":
         qa_reg, qap_reg = (base,), (base + 1,)
         step = _step_gates(lay, base, base + 1, chain.omega, order) if n else []
         resets = [Gate("reset", qa_reg), Gate("reset", qap_reg)]
-        gates = (step + resets) * max(n - 1, 0) + step
+        structure = (step + resets, n - 1, len(step)) if n >= 2 else (step,)
     else:
         raise ValueError(f"unknown ancilla policy {ancilla_policy!r}")
-    c = Circuit({"qH": lay.qh, "qG": lay.qg, "qA": qa_reg, "qAp": qap_reg}, gates)
+    c = Circuit({"qH": lay.qh, "qG": lay.qg, "qA": qa_reg, "qAp": qap_reg}, *structure)
     c.validate()
     return c
 
@@ -334,21 +330,26 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
 
 
 class _DensityPlan(NamedTuple):
-    """A compiled ``simulate_density`` plan and what it was compiled from."""
+    """The compiled ``simulate_density`` plans and what they were compiled
+    from: ``plan`` runs the block, ``tail_plan`` (None without a tail) its
+    first ``tail`` gates."""
 
-    gates: list
-    registers: dict
+    source: tuple                  # a copy of (block, repeat, tail, registers)
     dims: tuple
     ry_angles: list
     plan: Plan
+    tail_plan: Plan | None
 
 
 def _density_plan(circuit: Circuit) -> _DensityPlan:
-    """The circuit's compiled plan, made on first use and again whenever
-    its gate list (by gate identity) or registers have changed."""
+    """The circuit's compiled plans, made on first use and again whenever
+    its block (by gate identity), repeat count, tail or registers have
+    changed. The block and the tail are compiled once each, however often
+    the block repeats; a block whose output feeds another run must give the
+    node register back classical."""
+    block, repeat, tail = circuit.block, circuit.repeat, circuit.tail
     cached = circuit._plan
-    if cached is not None and cached.gates == circuit.gates \
-            and cached.registers == circuit.registers:
+    if cached is not None and cached.source == (block, repeat, tail, circuit.registers):
         return cached
     circuit.validate()
     qh, qg = circuit.registers["qH"], circuit.registers["qG"]
@@ -356,9 +357,13 @@ def _density_plan(circuit: Circuit) -> _DensityPlan:
     main = list(qh) + list(qg)
     if main != list(range(h + g)):
         raise ValueError("walker and node registers must occupy the leading qubits")
-    cached = _DensityPlan(list(circuit.gates), dict(circuit.registers), (2 ** h, 2 ** g),
-                          [gate.angle for gate in circuit.gates if gate.kind == "ry"],
-                          compile_gates(circuit.gates, main, set(main), classical=qg))
+    plan = compile_gates(block, main, set(main), classical=qg)
+    if (repeat > 1 or tail) and not plan.classical:
+        raise ValueError("a block that repeats or has a tail must end with the node "
+                         "register classical")
+    tail_plan = compile_gates(block[:tail], main, set(main), classical=qg) if tail else None
+    cached = _DensityPlan((list(block), repeat, tail, dict(circuit.registers)), (2 ** h, 2 ** g),
+                          [gate.angle for gate in block if gate.kind == "ry"], plan, tail_plan)
     circuit._plan = cached
     return cached
 
@@ -367,18 +372,16 @@ def simulate_density(circuit: Circuit, initial: core.DiagonalState,
                      omega: float | None = None) -> core.DiagonalState:
     """Run the circuit on a diagonal walker-node state, tracing all ancillas.
 
-    The circuit is validated and compiled once (``compile_gates``: the
-    attach and trace-out schedule, each qubit marked classical or quantum,
-    X runs fused into permutations and ``u`` runs into multiplexors); the
-    plan is kept on the circuit and made again when its gate list or
-    registers change. The node register is classical, so the state is its
-    padded (2^g, 2^h, 2^h) block stack. A non-selective measurement makes
-    the measured qubit classical; reset traces it out and attaches it again
-    as |0>. When ``omega`` is given, the RY preparation angles found in the
-    circuit are checked against it. A circuit that leaves a node qubit in
-    superposition ends on the dense matrix, which must come back diagonal
-    (``DiagonalState.from_dense``); either way no mass may be left in
-    padded levels (``DiagonalState.from_padded``).
+    The circuit is validated, and its block and tail are compiled once each
+    (``compile_gates``) and kept on the circuit until its structure or
+    registers change; the block plan runs ``repeat`` times, then the tail
+    plan once. The node register is classical, so the state is its padded
+    (2^g, 2^h, 2^h) block stack; a state with more nodes or walker levels
+    than that raises ``ValueError``. When ``omega`` is given, the RY
+    preparation angles are checked against it. A one-block circuit that
+    leaves a node qubit in superposition ends on the dense matrix, which
+    must come back diagonal (``DiagonalState.from_dense``); either way no
+    mass may be left in padded levels (``DiagonalState.from_padded``).
     """
     compiled = _density_plan(circuit)
     if omega is not None:
@@ -386,12 +389,17 @@ def simulate_density(circuit: Circuit, initial: core.DiagonalState,
         for angle in compiled.ry_angles:
             if abs(angle - want) > 1e-12:
                 raise ValueError(f"RY angle {angle} does not prepare omega={omega}")
-    plan, (dw, dn) = compiled.plan, compiled.dims
-    n, d, trace = initial.n_nodes, initial.walker_dim, initial.total_trace()
-    blocks = np.zeros((dn, dw, dw), dtype=complex)
-    blocks[:n, :d, :d] = initial.blocks
-    out = plan.run(blocks)
-    if plan.classical:
+    (dw, dn), n, d = compiled.dims, initial.n_nodes, initial.walker_dim
+    if n > dn or d > dw:
+        raise ValueError(f"state (N, d) = ({n}, {d}) does not fit the registers "
+                         f"(2^g, 2^h) = ({dn}, {dw})")
+    out = np.zeros((dn, dw, dw), dtype=complex)
+    out[:n, :d, :d] = initial.blocks
+    runs = [compiled.plan] * circuit.repeat + [compiled.tail_plan] * bool(circuit.tail)
+    for plan in runs:
+        out = plan.run(out)
+    trace = initial.total_trace()
+    if runs[-1].classical:
         return core.DiagonalState.from_padded(out.reshape(dn, dw, dw), n, d, trace)
     return core.DiagonalState.from_dense(out, n, d, compiled.dims, trace=trace)
 
@@ -448,15 +456,11 @@ def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
     qubit-disjoint gates; measurements and resets occupy a slot but cost
     no CNOTs.
 
-    A repeated block of shared gates at the start of the list (a ``reuse``
-    walk's step and resets, see ``_repeats``) is costed once: each of its
-    gates is priced once, and its effect on the per-qubit layer frontier, a
-    max-plus linear map, is found in one sweep and raised to the k-th
-    power by max-plus squaring.
-    A tail that is the block's first gates, the same objects (a ``reuse``
-    walk's final step), takes their prices and the map saved at that point
-    of the sweep. Any other gate after the block is priced and layered one
-    by one.
+    The circuit's block is costed once: each of its gates is priced once,
+    and its effect on the per-qubit layer frontier, a max-plus linear map,
+    is found in one sweep and raised to the ``repeat``-th power by max-plus
+    squaring. The tail, the block's first gates, takes their prices and the
+    map saved at that point of the sweep.
     """
     if model == "linear-ancilla":
         f = lambda c: alpha * c + beta
@@ -471,9 +475,7 @@ def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
         c = len(gate.controls)
         return (f(c) if c else 0.0) + _base_cnot_cost(len(gate.targets))
 
-    p, k = _repeats(circuit.gates)
-    block, tail = circuit.gates[:p], circuit.gates[p * k:]
-    shared = len(tail) if tail == block[:len(tail)] else 0
+    block, k, shared = circuit.block, circuit.repeat, circuit.tail
     block_cnots = np.array([gate_cnots(gate) for gate in block], dtype=float)
     qubits, rows, prefix_rows = _frontier_map(block, shared)
     layers = np.zeros(len(qubits))
@@ -490,30 +492,22 @@ def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
                 power = (power[:, :, None] + power).max(axis=1)
         if shared:
             layers = (np.array(prefix_rows) + layers).max(axis=1)
-    depth_by_qubit = dict(zip(qubits, map(int, layers.tolist())))
-    tail_cnots = []
-    for gate in tail[shared:]:
-        tail_cnots.append(gate_cnots(gate))
-        layer = 1 + max((depth_by_qubit.get(q, 0) for q in gate.qubits), default=0)
-        for q in gate.qubits:
-            depth_by_qubit[q] = layer
     # a running total in gate order, as one float: a non-integer alpha or
     # beta then rounds as the per-gate sum does, which a block sum times k
     # does not always (it can land on the other side of a .5)
-    cnot = np.cumsum(np.concatenate(([0.0], np.tile(block_cnots, k), block_cnots[:shared],
-                                     tail_cnots)))[-1]
+    cnot = np.cumsum(np.concatenate(([0.0], np.tile(block_cnots, k), block_cnots[:shared])))[-1]
     # the frontier never decreases, so its maximum is the deepest layer; a
     # circuit whose gates touch no qubit still has one layer
-    deepest = max(depth_by_qubit.values(), default=1 if circuit.gates else 0)
+    deepest = int(layers.max(initial=1 if block else 0))
     return int(round(float(cnot))), deepest
 
 
 # --- export ------------------------------------------------------------------
 
-def _joined(gates: list, render, sep: str) -> str:
-    """``sep.join(render(gate) for gate in gates)``, calling ``render`` once
-    per distinct gate object (keyed by identity); a repeated block of shared
-    gates (see ``_repeats``) is joined once and repeated."""
+def _joined(circuit: Circuit, render, sep: str) -> str:
+    """``sep.join(render(gate) for gate in circuit.gates)``, calling
+    ``render`` once per distinct gate object (keyed by identity); the
+    block's text is joined once and repeated."""
     memo = {}
 
     def text(gate):
@@ -521,9 +515,8 @@ def _joined(gates: list, render, sep: str) -> str:
             memo[gate] = render(gate)
         return memo[gate]
 
-    p, k = _repeats(gates)
-    block = sep.join([text(gate) for gate in gates[:p]])
-    return sep.join([block] * k + [text(gate) for gate in gates[p * k:]])
+    texts = [text(gate) for gate in circuit.block]
+    return sep.join([sep.join(texts)] * circuit.repeat + texts[:circuit.tail])
 
 
 def _json_value(x, indent: str) -> str:
@@ -569,12 +562,13 @@ def circuit_to_json(circuit: Circuit) -> str:
 
     The text is that of ``json.dumps({"registers": ..., "gates": [...]},
     indent=1)``. Each distinct gate object is written once, by a writer for
-    the entry schema, and a repeated block of shared gates (see
-    ``_repeats``) is joined once per repeat.
+    the entry schema, and the block's text is joined once per repeat (see
+    ``_joined``).
     """
     registers = json.dumps({name: list(qs) for name, qs in circuit.registers.items()},
                            indent=1).replace("\n", "\n ")
-    gates = "[\n" + _joined(circuit.gates, _json_gate, ",\n") + "\n ]" if circuit.gates else "[]"
+    gates = _joined(circuit, _json_gate, ",\n")
+    gates = "[\n" + gates + "\n ]" if gates else "[]"
     return '{\n "registers": ' + registers + ',\n "gates": ' + gates + "\n}"
 
 
@@ -602,6 +596,7 @@ def circuit_to_qasm(circuit: Circuit) -> str:
 
     lines = ["OPENQASM 3.0;"]
     lines += [f"qubit[{len(qs)}] {reg};" for reg, qs in circuit.registers.items()]
-    if circuit.gates:
-        lines.append(_joined(circuit.gates, line, "\n"))
+    body = _joined(circuit, line, "\n")
+    if body:
+        lines.append(body)
     return "\n".join(lines) + "\n"

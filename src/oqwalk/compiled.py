@@ -306,7 +306,8 @@ def compile_gates(gates: list, live, keep, density: bool = True, classical=()) -
     each is then one axis of the classical index. A qubit enters the state
     as |0><0| when first touched, and one not in ``keep`` is traced out as
     soon as no later gate references it; so the live dimension stays at
-    walker x node x one ancilla pair even for the fresh ancilla policy. A
+    walker x node x one ancilla pair even for the fresh ancilla policy; a
+    reset that is such a qubit's last use only traces it out. A
     circuit that ends in the input layout gives the state back in it. Any
     other (say one that leaves a qubit of ``classical`` in superposition)
     ends by making every qubit quantum, so the result is the dense
@@ -445,7 +446,8 @@ def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool,
             measure(gate.targets[0])
         elif gate.kind == "reset":
             trace_out(gate.targets[0])
-            attach(gate.targets[0], False)
+            if gate.targets[0] in keep or last_use[gate.targets[0]] > pos:
+                attach(gate.targets[0], False)
         else:
             if not _joins(run, patterns, gate, x_class):
                 flush()

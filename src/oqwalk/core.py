@@ -403,21 +403,22 @@ def chain_to_json(chain: LinearChainSpec) -> str:
 
 def chain_fields_from_json(text: str) -> tuple:
     """(N, omega, matrices) of a chain document, checked as far as the
-    format goes: keys, omega in [0, 1], N - 1 re/im matrices, all square
-    and of one size. Each fault is a ValueError naming it; unitarity and
-    completeness are left to the caller."""
+    format goes: keys, omega in [0, 1] (a bool, which json gives for true,
+    is no number), N - 1 re/im matrices, all square and of one size. Each
+    fault is a ValueError naming it; unitarity and completeness are left to
+    the caller."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"spec file is not valid JSON: {exc}") from exc
     n, omega, unitaries = _fields(obj, ("N", "omega", "unitaries"))
-    if not isinstance(omega, (int, float)) or not 0 <= omega <= 1:
+    if type(omega) not in (int, float) or not 0 <= omega <= 1:
         raise ValueError(f"spec omega must be a number in [0, 1], got {omega!r}")
     try:
         mats = [matrix_from_json(u) for u in unitaries]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"spec unitaries must be a list of re/im matrices ({exc!r})") from exc
-    if not isinstance(n, int) or n < 2 or len(mats) != n - 1:
+    if type(n) is not int or n < 2 or len(mats) != n - 1:
         raise ValueError(f"spec needs an integer N >= 2 and N - 1 unitaries, "
                          f"got N={n!r} and {len(mats)} unitaries")
     shapes = list(dict.fromkeys(m.shape for m in mats))

@@ -425,14 +425,17 @@ def test_plan_is_kept_and_remade_when_the_gate_list_changes():
     plan = walk._plan
     circuit.simulate_density(walk, state, chain.omega)
     assert walk._plan is plan
-    # the same list object, grown in place into a two-step walk
-    walk.gates.extend(circuit.build_walk(chain, 2).gates[len(walk.gates):])
+    # the same block list object, grown in place into a two-step walk's
+    # block (step and resets), then repeated once with the step as its tail
+    steps = circuit.build_walk(chain, 2)
+    walk.block.extend(steps.block[len(walk.block):])
+    walk.repeat, walk.tail = steps.repeat, steps.tail
     two = circuit.simulate_density(walk, state, chain.omega)
-    want = oracles.simulate_density(circuit.build_walk(chain, 2), state, chain.omega)
+    want = oracles.simulate_density(steps, state, chain.omega)
     # one U gate replaced in place by one for another walker unitary
-    pos = next(i for i, g in enumerate(walk.gates) if g.kind == "u")
-    old = walk.gates[pos]
-    walk.gates[pos] = Gate("u", old.targets, old.controls, matrix=haar_unitary(2, rng))
+    pos = next(i for i, g in enumerate(walk.block) if g.kind == "u")
+    old = walk.block[pos]
+    walk.block[pos] = Gate("u", old.targets, old.controls, matrix=haar_unitary(2, rng))
     changed = circuit.simulate_density(walk, state, chain.omega)
     assert all(np.array_equal(two.block(i), want.block(i)) for i in range(5))
     assert not all(np.array_equal(one.block(i), two.block(i)) for i in range(5))
@@ -530,6 +533,64 @@ def test_a_node_qubit_in_superposition_runs_all_quantum():
     out = circuit.simulate_density(circ, state)
     assert circ._plan.plan.classical == ()
     assert np.abs(out.blocks - state.blocks).max() <= 1e-15
+
+
+def test_a_repeated_block_must_give_the_node_register_back_classical():
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    h = Gate("u", (1,), matrix=hadamard)
+    state = random_diagonal_state(2, 2, np.random.default_rng(26))
+    for shape in (([h], 2, 0), ([h, h], 2, 0), ([h, Gate("x", (0,))], 1, 1)):
+        with pytest.raises(ValueError, match="a block that repeats or has a tail must end "
+                                             "with the node register classical"):
+            circuit.simulate_density(Circuit({"qH": (0,), "qG": (1,)}, *shape), state)
+
+
+@pytest.mark.parametrize("n_nodes, d", [(9, 2), (8, 3)])
+def test_simulate_rejects_a_state_that_does_not_fit_the_registers(n_nodes, d):
+    rng = np.random.default_rng(27)
+    walk = circuit.build_walk(random_chain(8, 0.7, rng), 2)
+    with pytest.raises(ValueError, match=rf"state \(N, d\) = \({n_nodes}, {d}\) does not fit "
+                                         rf"the registers \(2\^g, 2\^h\) = \(8, 2\)"):
+        circuit.simulate_density(walk, random_diagonal_state(n_nodes, d, rng))
+
+
+@pytest.mark.parametrize("n", [2, 10, 100])
+def test_reuse_walk_compiles_its_block_and_tail_once(monkeypatch, n):
+    calls = []
+    compile_gates = circuit.compile_gates
+
+    def counted(gates, *args, **kwargs):
+        calls.append(len(gates))
+        return compile_gates(gates, *args, **kwargs)
+
+    monkeypatch.setattr(circuit, "compile_gates", counted)
+    rng = np.random.default_rng(28)
+    chain = random_chain(5, 0.7, rng)
+    state = random_diagonal_state(5, 2, rng)
+    walk = circuit.build_walk(chain, n)
+    got = circuit.simulate_density(walk, state, chain.omega)
+    again = circuit.simulate_density(walk, state, chain.omega)
+    assert calls == [len(walk.block), walk.tail]
+    want = oracles.simulate_density(walk, state, chain.omega)
+    assert all(np.array_equal(got.block(i), want.block(i)) for i in range(5))
+    assert all(np.array_equal(again.block(i), want.block(i)) for i in range(5))
+
+
+def test_a_block_applied_only_as_its_tail():
+    rng = np.random.default_rng(29)
+    chain = random_chain(5, 0.7, rng, dim=3)
+    walk = circuit.build_walk(chain, 3)
+    step = Circuit(walk.registers, walk.block, 0, walk.tail)
+    assert step.gates == walk.block[:walk.tail]
+    state = random_diagonal_state(5, 3, rng)
+    got = circuit.simulate_density(step, state, chain.omega)
+    want = oracles.simulate_density(step, state, chain.omega)
+    assert all(np.array_equal(got.block(i), want.block(i)) for i in range(5))
+    assert_cost_and_exports_match_reference(step)
+    # a gate after the tail is not applied, so it is not checked
+    bad = Gate("x", (9,))
+    Circuit(walk.registers, walk.block + [bad], 0, walk.tail).validate()
+    assert_cost_and_exports_match_reference(Circuit({"q": (0, 1, 2, 3)}, [bad], 0, 0))
 
 
 def test_circuit_matrix_rejects_measurement():
@@ -931,16 +992,18 @@ def hand_built_gates():
                                   "block-with-measure", "no-qubits"])
 def test_hand_built_cost_and_json_equal_per_gate_references(case):
     a, b, c, m = hand_built_gates()
-    gates, periodic = {
-        "first-recurs": ([a, b, a, c], (0, 0)),
-        "tail": ([a, b] * 3 + [a], (2, 3)),
-        "period-one": ([a] * 5, (1, 5)),
-        "empty": ([], (0, 0)),
-        "block-with-measure": ([c, m, b] * 4 + [a, a, c], (3, 4)),
-        "no-qubits": ([Gate("x", ())] * 3, (1, 3)),
+    none = Gate("x", ())
+    gates, shape = {
+        "first-recurs": ([a, b, a, c], ([a, b, a, c],)),
+        "tail": ([a, b] * 3 + [a], ([a, b], 3, 1)),
+        "period-one": ([a] * 5, ([a], 5, 0)),
+        "empty": ([], ([],)),
+        "block-with-measure": ([c, m, b] * 4 + [a, a, c], ([c, m, b] * 4 + [a, a, c],)),
+        "no-qubits": ([none] * 3, ([none], 3, 0)),
     }[case]
-    assert circuit._repeats(gates) == periodic
-    assert_cost_and_exports_match_reference(Circuit({"q": (0, 1, 2, 3)}, gates))
+    c = Circuit({"q": (0, 1, 2, 3)}, *shape)
+    assert c.gates == gates
+    assert_cost_and_exports_match_reference(c)
 
 
 def adversarial_gates():
@@ -985,15 +1048,6 @@ def test_gate_qubits_are_kept():
     assert gate.qubits == (0, 1, 2) and gate.qubits is gate.qubits
 
 
-def test_repeats_compares_gates_by_identity():
-    a, b, _, _ = hand_built_gates()
-    twin = Gate(a.kind, a.targets, a.controls, matrix=a.matrix, label=a.label)
-    assert circuit._repeats([a, b, twin, b]) == (0, 0)
-    assert circuit._repeats([a, b, a, b]) == (2, 2)
-    # one repeat is no repetition
-    assert circuit._repeats([a, b, a]) == (0, 0)
-
-
 def test_gates_compare_and_hash_by_identity():
     a = Gate("u", (0,), matrix=np.eye(2), label="U")
     twin = Gate("u", (0,), matrix=np.eye(2), label="U")
@@ -1008,10 +1062,31 @@ def test_gates_compare_and_hash_by_identity():
 def test_validate_rejects_undeclared_qubit_in_block_or_tail(where):
     a, b, c, _ = hand_built_gates()
     bad = Gate("x", (9,), ((0, 1),))
-    gates = [a, bad, b] * 3 + [c] if where == "block" else [a, b] * 3 + [c, bad]
-    assert circuit._repeats(gates)[1] == 3
+    # in the tail case the block is applied only as its tail, which covers bad
+    shape = ([a, bad, b, c], 3, 1) if where == "block" else ([a, b, bad, c], 0, 3)
     with pytest.raises(ValueError, match=r"undeclared qubits \[9\]"):
-        Circuit({"q": (0, 1, 2, 3)}, gates).validate()
+        Circuit({"q": (0, 1, 2, 3)}, *shape).validate()
+
+
+def test_circuit_rejects_a_bad_repeat_or_tail():
+    a, b, _, _ = hand_built_gates()
+    regs = {"q": (0, 1, 2, 3)}
+    for shape in (([a], -1, 0), ([a, b], 1, 2), ([a, b], 1, -1), ([], 1, 1)):
+        with pytest.raises(ValueError, match="need repeat >= 0 and 0 <= tail <"):
+            Circuit(regs, *shape)
+    assert Circuit(regs, [a, b]).gates == [a, b]
+    assert Circuit(regs, [a, b], 0, 1).gates == [a]
+    assert Circuit(regs, [a, b], 2, 1).gates == [a, b, a, b, a]
+
+
+def test_long_reuse_walk_holds_one_step():
+    chain = core.LinearChainSpec(1024, 0.8, [np.eye(2)] * 1023)
+    step = circuit.build_step(chain)
+    walk = circuit.build_walk(chain, 1707)
+    # the expanded walk would be 3.58 M gate references
+    assert len(walk.block) == len(step.block) + 2
+    assert (walk.repeat, walk.tail) == (1706, len(step.block))
+    assert [g.kind for g in walk.block[walk.tail:]] == ["reset", "reset"]
 
 
 def test_walk_cost_work_does_not_grow_with_reused_steps(monkeypatch):

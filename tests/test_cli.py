@@ -255,6 +255,17 @@ def test_spec_file_faults_are_usage_errors(capsys, tmp_path, text, fault):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("omega", [True, False])
+def test_spec_boolean_omega_is_usage_error(capsys, tmp_path, omega):
+    # json's true is a Python bool, and a bool is an int: read as omega it
+    # would run the walk at omega = 1 (or 0) and exit 0
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"N": 2, "omega": omega, "unitaries": [EYE_JSON]}))
+    code, out, err = run(capsys, "verify", "--spec", str(path), "--steps", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: spec omega must be a number in [0, 1], got {omega!r}\n"
+
+
 @pytest.mark.parametrize("argv, fault", [
     (["steady", "--N", "5", "--omega", "0.6", "--steps", "-5"], "--steps must be at least 0"),
     (["profile", "--N", "5", "--omega", "0.6", "--steps", "-1"],

@@ -267,7 +267,11 @@ def test_chain_readers_name_a_missing_key(reader, key):
     (json.dumps({**CHAIN_DOC, "omega": "0.5"}), "spec omega must be a number"),
     (json.dumps({**CHAIN_DOC, "unitaries": [{"re": [[1.0]]}]}), "list of re/im matrices"),
     (json.dumps({**CHAIN_DOC, "N": 3}), "got N=3 and 1 unitaries"),
-], ids=["malformed", "not-an-object", "omega-string", "missing-im", "count"])
+    (json.dumps({**CHAIN_DOC, "omega": True}), "spec omega must be a number"),
+    (json.dumps({**CHAIN_DOC, "omega": False}), "spec omega must be a number"),
+    (json.dumps({**CHAIN_DOC, "N": True, "unitaries": []}), "integer N >= 2"),
+], ids=["malformed", "not-an-object", "omega-string", "missing-im", "count", "omega-true",
+        "omega-false", "N-true"])
 def test_chain_readers_raise_value_errors(reader, text, fault):
     with pytest.raises(ValueError, match=fault):
         reader(text)
