@@ -199,11 +199,13 @@ def kolmogorov_distance(p, q) -> float:
     return float(np.abs(np.cumsum(p) - np.cumsum(q)).max())
 
 
-def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x); every value must be positive."""
+def fit_loglog_slope(xs, ys) -> float | list:
+    """Least-squares slope of log(y) against log(x); every value must be
+    positive. A 2-D ``ys`` is fitted column by column in one solve, which
+    gives a list of the slopes that fitting each column alone gives."""
     x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if x.size < 2:
         raise ValueError("need at least two points to fit a slope")
     if not (np.all(x > 0) and np.all(y > 0)):
         raise ValueError("a log-log fit needs positive x and y values")
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+    return np.polyfit(np.log(x), np.log(y), 1)[0].tolist()

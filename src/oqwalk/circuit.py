@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import groupby, islice, product
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -48,18 +51,18 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        ctrl_qubits = tuple(q for q, _ in self.controls)
-        if set(ctrl_qubits) & set(self.targets):
+        qubits = (*[q for q, _ in self.controls], *self.targets)
+        if not set(self.targets).isdisjoint(qubits[:len(self.controls)]):
             raise ValueError("control qubits must be disjoint from targets")
         for _, pol in self.controls:
             if pol not in (0, 1):
                 raise ValueError(f"control polarity must be 0 or 1, got {pol}")
         if self.kind == "u":
-            m = asmatrix(self.matrix)
-            if m.shape != (2 ** len(self.targets),) * 2:
-                raise ValueError(f"matrix shape {m.shape} does not cover "
+            shape = asmatrix(self.matrix).shape
+            if shape != (2 ** len(self.targets),) * 2:
+                raise ValueError(f"matrix shape {shape} does not cover "
                                  f"{len(self.targets)} target qubits")
-        object.__setattr__(self, "qubits", ctrl_qubits + self.targets)
+        object.__setattr__(self, "qubits", qubits)
 
 
 @dataclass
@@ -67,7 +70,9 @@ class Circuit:
     """Named registers plus a gate list held as ``block`` applied ``repeat``
     times, then the block's first ``tail`` gates (a block applied no times
     is kept as its tail, applied once). Only ``gates`` expands the list, so
-    a repeated gate is validated, priced, written and compiled once."""
+    a repeated gate is validated, priced, written and compiled once. Every
+    reader takes the structure through ``_structure``, so fields changed
+    after construction are checked as the constructor checks them."""
 
     registers: dict
     block: list = field(default_factory=list)
@@ -77,15 +82,22 @@ class Circuit:
     _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.repeat < 0 or not 0 <= self.tail < max(len(self.block), 1):
-            raise ValueError(f"need repeat >= 0 and 0 <= tail < {len(self.block)} gates "
-                             f"in the block, got repeat={self.repeat} and tail={self.tail}")
-        if not self.repeat:
-            self.block, self.repeat, self.tail = self.block[:self.tail], 1, 0
+        self.block, self.repeat, self.tail = self._structure()
+
+    def _structure(self) -> tuple:
+        """(block, repeat, tail), checked in O(1): raises ``ValueError`` unless
+        repeat >= 0 and 0 <= tail < len(block) (tail 0 for an empty block);
+        a block applied no times reads as its tail applied once."""
+        block, repeat, tail = self.block, self.repeat, self.tail
+        if repeat < 0 or not 0 <= tail < max(len(block), 1):
+            raise ValueError(f"need repeat >= 0 and 0 <= tail < {len(block)} gates "
+                             f"in the block, got repeat={repeat} and tail={tail}")
+        return (block, repeat, tail) if repeat else (block[:tail], 1, 0)
 
     @property
     def gates(self) -> list:
-        return self.block * self.repeat + self.block[:self.tail]
+        block, repeat, tail = self._structure()
+        return block * repeat + block[:tail]
 
     @property
     def n_qubits(self) -> int:
@@ -98,7 +110,7 @@ class Circuit:
         """Raise if a gate touches an undeclared qubit; each block gate is
         checked once."""
         declared = set(self.all_qubits())
-        for gate in self.block:
+        for gate in self._structure()[0]:
             missing = set(gate.qubits) - declared
             if missing:
                 raise ValueError(f"gate references undeclared qubits {sorted(missing)}")
@@ -111,22 +123,10 @@ def rotation_angle(omega: float) -> float:
 
 # --- block builders ---------------------------------------------------------
 
-def _bits(value: int, width: int) -> list:
-    return [(value >> (width - 1 - b)) & 1 for b in range(width)]
-
-
-def _pattern(qg, value: int) -> tuple:
-    return tuple(zip(qg, _bits(value, len(qg))))
-
-
 def _inc_gates(qg, extra=()) -> list:
     """Cyclic +1 ladder: X on each bit controlled on all lower bits."""
-    g = len(qg)
-    out = []
-    for t in range(g):
-        ctrls = tuple((qg[b], 1) for b in range(t + 1, g)) + tuple(extra)
-        out.append(Gate("x", (qg[t],), ctrls))
-    return out
+    return [Gate("x", (qg[t],), tuple([(q, 1) for q in qg[t + 1:]]) + tuple(extra))
+            for t in range(len(qg))]
 
 
 def _dec_gates(qg, extra=()) -> list:
@@ -160,7 +160,8 @@ def _padded_unitary(u: np.ndarray, h_dim: int) -> np.ndarray:
 
 
 class _Layout:
-    """Register sizing and qubit indices for one chain."""
+    """Register sizing and qubit indices for one chain, and the node
+    register's control pattern of each node, most significant qubit first."""
 
     def __init__(self, chain: core.LinearChainSpec):
         self.chain = chain
@@ -169,6 +170,8 @@ class _Layout:
         self.qh = tuple(range(self.h))
         self.qg = tuple(range(self.h, self.h + self.g))
         self.h_dim = 2 ** self.h
+        self.patterns = list(islice(product(*[((q, 0), (q, 1)) for q in self.qg]),
+                                    chain.n_nodes))
 
     def padded(self, u):
         return _padded_unitary(u, self.h_dim)
@@ -176,37 +179,30 @@ class _Layout:
 
 def _right_gates(lay: _Layout, qa: int) -> list:
     chain = lay.chain
-    gates = []
-    for j in range(chain.n_nodes - 1):
-        ctrls = _pattern(lay.qg, j) + ((qa, 1),)
-        gates.append(Gate("u", lay.qh, ctrls,
-                          matrix=lay.padded(chain.unitaries[j]), label=f"U{j}"))
-    gates += _inc_gates(lay.qg, extra=((qa, 1),))
-    return gates
+    gates = [Gate("u", lay.qh, lay.patterns[j] + ((qa, 1),),
+                  matrix=lay.padded(chain.unitaries[j]), label=f"U{j}")
+             for j in range(chain.n_nodes - 1)]
+    return gates + _inc_gates(lay.qg, extra=((qa, 1),))
 
 
 def _left_gates(lay: _Layout, qa: int) -> list:
     chain = lay.chain
-    gates = []
-    for j in range(1, chain.n_nodes):
-        ctrls = _pattern(lay.qg, j) + ((qa, 0),)
-        gates.append(Gate("u", lay.qh, ctrls,
-                          matrix=lay.padded(chain.unitaries[j - 1].conj().T),
-                          label=f"U{j - 1}dg"))
-    gates += _dec_gates(lay.qg, extra=((qa, 0),))
-    return gates
+    gates = [Gate("u", lay.qh, lay.patterns[j] + ((qa, 0),),
+                  matrix=lay.padded(chain.unitaries[j - 1].conj().T), label=f"U{j - 1}dg")
+             for j in range(1, chain.n_nodes)]
+    return gates + _dec_gates(lay.qg, extra=((qa, 0),))
 
 
 def _right_boundary_gates(lay: _Layout, qa: int, qap: int) -> list:
     # detect the right boundary node; for a power-of-two chain this is the
     # all-ones pattern
-    detect = _pattern(lay.qg, lay.chain.n_nodes - 1) + ((qa, 1),)
+    detect = lay.patterns[-1] + ((qa, 1),)
     mcx = Gate("x", (qap,), detect)
     return [mcx] + _right_gates(lay, qa) + _dec_gates(lay.qg, extra=((qap, 1),)) + [mcx]
 
 
 def _left_boundary_gates(lay: _Layout, qa: int, qap: int) -> list:
-    detect = _pattern(lay.qg, 0) + ((qa, 0),)
+    detect = lay.patterns[0] + ((qa, 0),)
     mcx = Gate("x", (qap,), detect)
     return [mcx] + _left_gates(lay, qa) + _inc_gates(lay.qg, extra=((qap, 1),)) + [mcx]
 
@@ -347,7 +343,7 @@ def _density_plan(circuit: Circuit) -> _DensityPlan:
     changed. The block and the tail are compiled once each, however often
     the block repeats; a block whose output feeds another run must give the
     node register back classical."""
-    block, repeat, tail = circuit.block, circuit.repeat, circuit.tail
+    block, repeat, tail = circuit._structure()
     cached = circuit._plan
     if cached is not None and cached.source == (block, repeat, tail, circuit.registers):
         return cached
@@ -395,7 +391,8 @@ def simulate_density(circuit: Circuit, initial: core.DiagonalState,
                          f"(2^g, 2^h) = ({dn}, {dw})")
     out = np.zeros((dn, dw, dw), dtype=complex)
     out[:n, :d, :d] = initial.blocks
-    runs = [compiled.plan] * circuit.repeat + [compiled.tail_plan] * bool(circuit.tail)
+    _, repeat, tail, _ = compiled.source
+    runs = [compiled.plan] * repeat + [compiled.tail_plan] * bool(tail)
     for plan in runs:
         out = plan.run(out)
     trace = initial.total_trace()
@@ -417,32 +414,23 @@ def _base_cnot_cost(n_targets: int) -> int:
     return math.ceil((4 ** n_targets - 3 * n_targets - 1) / 4)
 
 
-def _frontier_map(block: list, prefix: int) -> tuple:
-    """The greedy-layer frontier map of a gate block, in max-plus form.
+def _layer_runs(gates: list, rows: dict) -> None:
+    """Greedy-layer ``gates`` onto ``rows`` in place, one list per qubit:
+    its layer, as ``[layer]``, or its row of a max-plus frontier map.
 
-    Returns (qubits, rows, prefix_rows): after the block, the layer reached
-    on ``qubits[r]`` is ``max_q(rows[r][q] + before[q])`` over the block's
-    qubits, with -inf where qubit r does not depend on qubit q;
-    ``prefix_rows`` is the same map after the block's first ``prefix`` gates.
+    A gate gives its qubits one shared row, the column-wise maximum of
+    theirs plus one. After a run's first gate its qubits share that row, so
+    each run of consecutive gates on one qubit tuple is one update, which
+    adds the run's length.
     """
-    qubits = sorted({q for gate in block for q in gate.qubits})
-    pos = {q: i for i, q in enumerate(qubits)}
-    rows = [[0 if i == j else -math.inf for j in range(len(qubits))]
-            for i in range(len(qubits))]
-    prefix_rows = rows
-    for n, gate in enumerate(block):
-        if n == prefix:
-            prefix_rows = list(rows)
-        touched = [pos[q] for q in gate.qubits]
-        # qubits a gate has joined share one row object; merge each row once
-        merged = {id(rows[i]): rows[i] for i in touched}
-        if len(merged) == 1:
-            row = [x + 1 for x in rows[touched[0]]]
-        else:
-            row = [max(col) + 1 for col in zip(*merged.values())]
-        for i in touched:
-            rows[i] = row
-    return qubits, rows, prefix_rows
+    for qubits, run in groupby([gate.qubits for gate in gates]):
+        if qubits:
+            c = len(list(run))
+            merged = {id(rows[q]): rows[q] for q in qubits}
+            top = map(max, *merged.values()) if len(merged) > 1 else rows[qubits[0]]
+            row = [x + c for x in top]
+            for q in qubits:
+                rows[q] = row
 
 
 def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
@@ -456,11 +444,12 @@ def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
     qubit-disjoint gates; measurements and resets occupy a slot but cost
     no CNOTs.
 
-    The circuit's block is costed once: each of its gates is priced once,
-    and its effect on the per-qubit layer frontier, a max-plus linear map,
-    is found in one sweep and raised to the ``repeat``-th power by max-plus
-    squaring. The tail, the block's first gates, takes their prices and the
-    map saved at that point of the sweep.
+    The circuit's block is costed once: each of its gates is priced once.
+    A block applied once is layered run by run straight onto the per-qubit
+    frontier. A repeated block's effect on the frontier, a max-plus linear
+    map, is found in one sweep and raised to the ``repeat``-th power by
+    max-plus squaring; the tail, the block's first gates, takes the map
+    saved at that point of the sweep.
     """
     if model == "linear-ancilla":
         f = lambda c: alpha * c + beta
@@ -475,30 +464,44 @@ def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
         c = len(gate.controls)
         return (f(c) if c else 0.0) + _base_cnot_cost(len(gate.targets))
 
-    block, k, shared = circuit.block, circuit.repeat, circuit.tail
-    block_cnots = np.array([gate_cnots(gate) for gate in block], dtype=float)
-    qubits, rows, prefix_rows = _frontier_map(block, shared)
-    layers = np.zeros(len(qubits))
-    if qubits:
-        # the map applied k times, by max-plus squaring, (a ⊗ b)[i, j] =
-        # max_l a[i, l] + b[l, j]; the entries are small integers and -inf,
-        # so the float sums are exact
-        power, reps = np.array(rows), k
-        while reps:
-            if reps & 1:
-                layers = (power + layers).max(axis=1)
-            reps >>= 1
-            if reps:
-                power = (power[:, :, None] + power).max(axis=1)
-        if shared:
-            layers = (np.array(prefix_rows) + layers).max(axis=1)
-    # a running total in gate order, as one float: a non-integer alpha or
-    # beta then rounds as the per-gate sum does, which a block sum times k
-    # does not always (it can land on the other side of a .5)
-    cnot = np.cumsum(np.concatenate(([0.0], np.tile(block_cnots, k), block_cnots[:shared])))[-1]
+    block, k, shared = circuit._structure()
+    prices = np.array([gate_cnots(gate) for gate in block], dtype=float)
+    if k == 1:
+        rows = defaultdict(lambda: [0])
+        _layer_runs(block + block[:shared], rows)
+        layers = [row[0] for row in rows.values()]
+    else:
+        qubits = sorted({q for gate in block for q in gate.qubits})
+        rows = {q: [0 if p == q else -math.inf for p in qubits] for q in qubits}
+        _layer_runs(block[:shared], rows)
+        prefix = [rows[q] for q in qubits]
+        _layer_runs(block[shared:], rows)
+        layers = np.zeros(len(qubits))
+        if qubits:
+            # the map applied k times, by max-plus squaring, (a ⊗ b)[i, j] =
+            # max_l a[i, l] + b[l, j]; the entries are small integers and
+            # -inf, so the float sums are exact
+            power, reps = np.array([rows[q] for q in qubits]), k
+            while reps:
+                if reps & 1:
+                    layers = (power + layers).max(axis=1)
+                reps >>= 1
+                if reps:
+                    power = (power[:, :, None] + power).max(axis=1)
+            if shared:
+                layers = (np.array(prefix) + layers).max(axis=1)
+    if np.all(prices % 1 == 0) and (k + 1) * np.abs(prices).sum() < 2 ** 53:
+        # integer prices whose sums stay below 2^53: every running sum is
+        # exact, so k block sums and the tail's give the gate-order bits
+        cnot = k * prices.sum() + prices[:shared].sum()
+    else:
+        # a running total in gate order, as one float: a non-integer alpha
+        # or beta then rounds as the per-gate sum does, which a block sum
+        # times k does not always (it can land on the other side of a .5)
+        cnot = np.cumsum(np.concatenate(([0.0], np.tile(prices, k), prices[:shared])))[-1]
     # the frontier never decreases, so its maximum is the deepest layer; a
     # circuit whose gates touch no qubit still has one layer
-    deepest = int(layers.max(initial=1 if block else 0))
+    deepest = int(max(layers, default=1 if block else 0))
     return int(round(float(cnot))), deepest
 
 
@@ -515,59 +518,74 @@ def _joined(circuit: Circuit, render, sep: str) -> str:
             memo[gate] = render(gate)
         return memo[gate]
 
-    texts = [text(gate) for gate in circuit.block]
-    return sep.join([sep.join(texts)] * circuit.repeat + texts[:circuit.tail])
+    block, repeat, tail = circuit._structure()
+    texts = [text(gate) for gate in block]
+    return sep.join([sep.join(texts)] * repeat + texts[:tail])
 
 
-def _json_value(x, indent: str) -> str:
-    """``json.dumps(x, indent=1)`` for a value on a line that starts with
-    ``indent`` (a newline and the spaces before the value): lists, exact
-    ints, finite floats and strings directly, by json's rules; anything else
-    (bools, nan, numpy scalars, None) through json itself."""
-    if type(x) is list:
-        if not x:
-            return "[]"
-        inner = indent + " "
-        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in x]) + indent + "]"
-    if type(x) is int:
-        return int.__repr__(x)
-    if type(x) is float and math.isfinite(x):
-        return float.__repr__(x)
-    if type(x) is str:
-        return encode_basestring_ascii(x)
-    return json.dumps(x, indent=1).replace("\n", indent)
+def _json_slots(shape: tuple, indent: str) -> str:
+    """json's ``indent=1`` layout of a nested list of this shape, on a line
+    that starts with ``indent``, with a ``%s`` slot for each scalar."""
+    if not shape:
+        return "%s"
+    if not shape[0]:
+        return "[]"
+    inner = indent + " "
+    item = _json_slots(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + indent + "]"
 
 
-def _json_gate(gate: Gate) -> str:
-    """The text ``json.dumps`` gives a gate's entry {kind, controls,
-    targets, params} two levels deep in the document, written directly for
-    that schema."""
+def _json_template(kind: str, n_controls: int, n_targets: int) -> tuple:
+    """(template, indents) for the gates of one shape: the text ``json.dumps``
+    gives a gate's entry {kind, controls, targets, params} two levels deep
+    in the document, with a ``%s`` slot for each scalar (control qubit and
+    polarity, target, angle, label, matrix entry), and each slot's line
+    start (a newline and the spaces before the value)."""
     i3, i4 = "\n   ", "\n    "    # line starts of the entry's keys and of params' keys
-    controls = _json_value([[q, pol] for q, pol in gate.controls], i3)
-    targets = _json_value(list(gate.targets), i3)
     params = []
-    if gate.kind == "ry":
-        params = [f'"angle": {_json_value(gate.angle, i4)}']
-    elif gate.kind == "u":
-        params = [f'"label": {_json_value(gate.label, i4)}',
-                  f'"re": {_json_value(gate.matrix.real.tolist(), i4)}',
-                  f'"im": {_json_value(gate.matrix.imag.tolist(), i4)}']
+    if kind == "ry":
+        params = ['"angle": %s']
+    elif kind == "u":
+        square = _json_slots((2 ** n_targets,) * 2, i4)
+        params = ['"label": %s', f'"re": {square}', f'"im": {square}']
     params = "{" + i4 + ("," + i4).join(params) + i3 + "}" if params else "{}"
-    return (f'  {{{i3}"kind": {_json_value(gate.kind, i3)},{i3}"controls": {controls},'
-            f'{i3}"targets": {targets},{i3}"params": {params}\n  }}')
+    text = (f'  {{{i3}"kind": "{kind}",{i3}"controls": {_json_slots((n_controls, 2), i3)},'
+            f'{i3}"targets": {_json_slots((n_targets,), i3)},{i3}"params": {params}\n  }}')
+    indents = ["\n" + " " * (len(line) - len(line.lstrip(" ")))
+               for line in text.split("\n") for _ in range(line.count("%s"))]
+    return text, indents
 
 
 def circuit_to_json(circuit: Circuit) -> str:
     """Stable JSON gate list with a register manifest.
 
     The text is that of ``json.dumps({"registers": ..., "gates": [...]},
-    indent=1)``. Each distinct gate object is written once, by a writer for
-    the entry schema, and the block's text is joined once per repeat (see
-    ``_joined``).
+    indent=1)``. Each distinct gate object is written once, by filling the
+    template of its shape (kind, control count, target count), made once
+    per call (a cache local to the call), with its scalars; the block's
+    text is joined once per repeat (see ``_joined``).
     """
+    template_of = lru_cache(maxsize=None)(_json_template)
+
+    def entry(gate):
+        template, indents = template_of(gate.kind, len(gate.controls), len(gate.targets))
+        values = [x for pair in gate.controls for x in pair] + list(gate.targets)
+        if gate.kind == "ry":
+            values.append(gate.angle)
+        elif gate.kind == "u":
+            values += [gate.label] + [x for part in (gate.matrix.real, gate.matrix.imag)
+                                      for row in part.tolist() for x in row]
+        # an exact int or a finite float goes in as it is (%s gives its
+        # repr), a string by json's rule, anything else (bools, nan, numpy
+        # scalars, None) through json itself at its slot's line start
+        return template % tuple([
+            x if type(x) in (int, float) and x - x == 0 else encode_basestring_ascii(x)
+            if type(x) is str else json.dumps(x, indent=1).replace("\n", i)
+            for x, i in zip(values, indents)])
+
     registers = json.dumps({name: list(qs) for name, qs in circuit.registers.items()},
                            indent=1).replace("\n", "\n ")
-    gates = _joined(circuit, _json_gate, ",\n")
+    gates = _joined(circuit, entry, ",\n")
     gates = "[\n" + gates + "\n ]" if gates else "[]"
     return '{\n "registers": ' + registers + ',\n "gates": ' + gates + "\n}"
 

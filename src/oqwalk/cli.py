@@ -225,11 +225,10 @@ def cmd_resources(args) -> str:
     h, g = len(walk.registers["qH"]), len(walk.registers["qG"])
     lines.append(f"circuit-{model[args.cost_model]},{dh},{args.N},{steps},"
                  f"{steps * 2 ** (h + g + 2)},{cnot},{depth}")
-    sizes = [4, 8, 16, 32]
-    for method in ("stinespring", "local"):
-        costs = [dilation.resource_report(method, dh, g, steps).cnot_estimate
-                 for g in sizes]
-        slope = analysis.fit_loglog_slope(sizes, costs)
+    sizes, methods = [4, 8, 16, 32], ("stinespring", "local")
+    costs = [[dilation.resource_report(method, dh, g, steps).cnot_estimate for method in methods]
+             for g in sizes]
+    for method, slope in zip(methods, analysis.fit_loglog_slope(sizes, costs)):
         lines.append(f"slope_{method},{dh},,{steps},,{_fmt(slope)},")
     return "\n".join(lines) + "\n"
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oqwalk import dilation
 from oqwalk.analysis import (
     ChainParams,
     estimate_steps,
@@ -210,6 +211,18 @@ def test_fit_loglog_slope_exact_power_law():
 def test_fit_loglog_slope_rejects_non_positive_values(xs, ys):
     with pytest.raises(ValueError, match="needs positive x and y values"):
         fit_loglog_slope(xs, ys)
+
+
+def test_fit_loglog_slope_fits_a_table_column_by_column():
+    # the resources command's two slope rows, fitted in one call
+    sizes = [4, 8, 16, 32]
+    for dh in range(1, 9):
+        for steps in range(1, 3000, 37):
+            table = [[dilation.resource_report(method, dh, g, steps).cnot_estimate
+                      for method in ("stinespring", "local")] for g in sizes]
+            slopes = fit_loglog_slope(sizes, table)
+            assert slopes == [fit_loglog_slope(sizes, [row[i] for row in table]) for i in (0, 1)]
+            assert [type(s) for s in slopes] == [float, float]
 
 
 def test_gaussian_window_against_master_iteration():

@@ -1113,6 +1113,137 @@ def test_walk_cost_work_does_not_grow_with_reused_steps(monkeypatch):
     assert per_steps == {n: len(step_gates) for n in (4, 8, 16)}
 
 
+@pytest.mark.parametrize("n_nodes, steps", [(16, 50), (33, 20)])
+def test_fresh_walk_cost_equals_per_gate_reference(n_nodes, steps):
+    # one block of every step, applied once: layered straight onto the frontier
+    chain = random_chain(n_nodes, 0.7, np.random.default_rng(n_nodes))
+    walk = circuit.build_walk(chain, steps, "fresh")
+    assert (walk.repeat, walk.tail) == (1, 0)
+    for model in circuit.COST_MODELS:
+        for alpha, beta in COST_PARAMS:
+            assert circuit.cost_estimate(walk, model, alpha, beta) == \
+                reference_cost(walk, model, alpha, beta)
+
+
+@pytest.mark.parametrize("case", ["run-straddles-tail", "run-wraps-the-block",
+                                  "once-with-tail", "two-tuple-orders"])
+def test_runs_of_same_qubit_gates_cost_as_the_per_gate_reference(case):
+    a, b, c, _ = hand_built_gates()
+    # the same qubit set {0, 1}, as (1, 0) and as (0, 1)
+    p, q = Gate("x", (0,), ((1, 1),)), Gate("x", (1,), ((0, 1),))
+    shape = {
+        "run-straddles-tail": ([a, a, a, b, c], 3, 2),
+        "run-wraps-the-block": ([a, b, a, a], 4, 1),
+        "once-with-tail": ([a, c, a, a], 1, 1),
+        "two-tuple-orders": ([p, q, p, p, q, c, q], 3, 4),
+    }[case]
+    assert_cost_and_exports_match_reference(Circuit({"q": (0, 1, 2, 3)}, *shape))
+
+
+def test_integer_prices_cost_a_long_walk_without_tiling():
+    chain = core.LinearChainSpec(1024, 0.8, [np.eye(2)] * 1023)
+    walk = circuit.build_walk(chain, 1707)
+    tracemalloc.start()
+    try:
+        cost = circuit.cost_estimate(walk, "quadratic-ancilla-free")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 3.58 M gate prices tiled in gate order would be a 27 MiB array
+    assert peak < 2 ** 20
+    block = Circuit(walk.registers, walk.block)
+    cnots = circuit.cost_estimate(block, "quadratic-ancilla-free")[0]
+    tail = circuit.cost_estimate(Circuit(walk.registers, walk.block[:walk.tail]),
+                                 "quadratic-ancilla-free")[0]
+    assert cost[0] == 1706 * cnots + tail
+
+
+BAD_STRUCTURES = [("repeat", -1), ("tail", -1), ("tail", "len"), ("tail", "len+1")]
+
+
+def _break_structure(walk, field, value):
+    size = len(walk.block)
+    setattr(walk, field, {"len": size, "len+1": size + 1}.get(value, value))
+
+
+@pytest.mark.parametrize("field, value", BAD_STRUCTURES)
+@pytest.mark.parametrize("reader", [
+    lambda w: w.gates,
+    lambda w: w.validate(),
+    lambda w: circuit.cost_estimate(w),
+    lambda w: circuit.circuit_to_json(w),
+    lambda w: circuit.circuit_to_qasm(w),
+    lambda w: circuit.simulate_density(w, core.DiagonalState.pure(np.array([1, 0]), 0, 4)),
+], ids=["gates", "validate", "cost", "json", "qasm", "simulate"])
+def test_structure_changed_after_construction_is_checked(reader, field, value):
+    walk = circuit.build_walk(random_chain(4, 0.7, np.random.default_rng(44)), 3)
+    reader(walk)   # a plan compiled before the change must not hide it
+    _break_structure(walk, field, value)
+    with pytest.raises(ValueError, match="need repeat >= 0 and 0 <= tail <"):
+        reader(walk)
+
+
+def test_repeat_set_to_zero_after_construction_reads_as_at_construction():
+    chain = random_chain(4, 0.7, np.random.default_rng(45))
+    start = core.DiagonalState.pure(np.array([1, 0]), 0, 4)
+    for tail in (0, 5):
+        walk = circuit.build_walk(chain, 3)
+        circuit.simulate_density(walk, start)
+        walk.repeat, walk.tail = 0, tail
+        built = Circuit(walk.registers, walk.block, 0, tail)
+        assert walk.gates == built.gates == walk.block[:tail]
+        assert circuit.cost_estimate(walk) == circuit.cost_estimate(built)
+        assert circuit.circuit_to_json(walk) == circuit.circuit_to_json(built)
+        assert circuit.circuit_to_qasm(walk) == circuit.circuit_to_qasm(built)
+        got = circuit.simulate_density(walk, start)
+        assert np.array_equal(got.blocks, circuit.simulate_density(built, start).blocks)
+
+
+def json_template_gates():
+    """One gate per entry path of the template writer."""
+    rng = np.random.default_rng(46)
+    nan_entries = (np.array([[math.nan, 1.0], [-0.0, 0.5]])
+                   + 1j * np.array([[-0.0, 0.0], [math.nan, 0.0]]))
+    return [Gate("x", (0,), ((1, True), (2, 0))),
+            Gate("ry", (0,), angle=np.float64(0.3)),
+            Gate("ry", (1,), angle=math.nan), Gate("ry", (1,), angle=math.inf),
+            Gate("ry", (1,), angle=-0.0),
+            Gate("ry", (2,), ((0, 1), (1, 0)), angle=0.7),
+            Gate("u", (3,), ((0, 1),), matrix=nan_entries,
+                 label='say "hi" 100%s %d ünïcode ψ\u2028'),
+            Gate("u", (1, 3), ((0, 0), (2, 1)), matrix=haar_unitary(4, rng), label="two"),
+            Gate("u", (2,), matrix=np.eye(2, dtype=bool), label="bools"),
+            Gate("measure_nonsel", (1,)), Gate("reset", (3,))]
+
+
+def test_json_templates_equal_json_dumps_on_hand_built_gates():
+    gates = json_template_gates()
+    regs = {"a": (0, 1), "b": (2, 3)}
+    for shape in ((gates,), (gates, 3, 4), (gates[::-1], 2, 7)):
+        c = Circuit(regs, *shape)
+        assert circuit.circuit_to_json(c) == reference_json(c)
+
+
+@pytest.mark.parametrize("gate", [
+    Gate("ry", (0,), angle=[0.5, [1.5, math.nan]]),
+    Gate("ry", (0,), angle={"a": 1}),
+    Gate("u", (0,), matrix=np.eye(2), label=("multi", "line")),
+    Gate("u", (0,), matrix=np.eye(2), label=None),
+    Gate("x", (1,), ((0, np.float64(1.0)),)),
+], ids=["list-angle", "dict-angle", "tuple-label", "none-label", "numpy-float-polarity"])
+def test_other_values_go_through_json_dumps_at_their_indent(gate):
+    c = Circuit({"q": (0, 1)}, [Gate("x", (1,)), gate, gate])
+    assert circuit.circuit_to_json(c) == reference_json(c)
+
+
+def test_numpy_int_qubit_raises_as_json_dumps_does():
+    c = Circuit({"q": (0, 1, 2)}, [Gate("ry", (np.int64(2),), ((0, 1),), angle=0.1)])
+    with pytest.raises(TypeError) as want:
+        reference_json(c)
+    with pytest.raises(TypeError, match=str(want.value)):
+        circuit.circuit_to_json(c)
+
+
 # --- export ----------------------------------------------------------------------
 
 def test_circuit_json_deterministic():
