@@ -92,11 +92,6 @@ def omega_for_success(eta: float) -> float:
     return 1.0 / (2.0 - eta)
 
 
-def master_step(dist, p: ChainParams) -> np.ndarray:
-    """One step of the birth-death recursion: ``iterate_master(dist, p, 1)``."""
-    return iterate_master(dist, p, 1)
-
-
 def iterate_master(dist, p: ChainParams, n_steps: int) -> np.ndarray:
     """n_steps of the birth-death recursion, the one place it is written.
 

@@ -9,7 +9,7 @@ weight multisets.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,43 +18,64 @@ from .matrixkit import asmatrix, complete_isometry, is_unitary, psd_sqrt, unitar
 
 UNITARY_TOL = 1e-10
 
-# Largest dense locality dilation d·N·k: the largest power of two at which
-# `oqw verify --steps 1` stays within what 1024 cost when it became the cap,
-# 4.3 s and 0.47 GB peak RSS (2 vCPUs, one BLAS thread; 2048 then took 7–18 s
-# and 0.5–1.7 GB). With the circuit on its classical node index and the
-# Kraus-stack step, 2048 takes 1.9–2.8 s and 0.42 GB for d = 2, 3, 4 (1024:
-# 0.4–0.7 s, 0.13 GB). At 4096 the unitary and its Kraus stack alone would
-# hold 0.8 GB.
+# Largest locality dilation d·N·k whose dense view ``LocalityDilation.matrix``
+# assembles: 64 MiB of complex entries at 2048. Stepping never reads the
+# view, so the cap bounds only the tests and oracles that do.
 MAX_DENSE_DIM = 2048
 
 
 @dataclass
 class DilationUnitary:
-    """A dilation: the unitary matrix, its tensor-factor layout, and kind.
+    """A dense dilation: the unitary matrix, its tensor-factor layout, and kind.
 
-    ``factor_dims`` orders the subsystems; for the locality kinds it is
-    (walker, node, ancilla). ``ancilla_weights`` holds the mixed ancilla
-    preparation for the generalized construction. The matrix is checked to
-    be unitary by the dense product u†u, unless ``unitary_checked`` says its
-    builder has already checked it block by block (``_locality_unitary``).
-    ``step_via_dilation`` keeps the Kraus stack of its last ancilla weights
-    here, so the matrix must not change after the first step.
+    ``factor_dims`` orders the subsystems; for a locality kind it is
+    (walker, node, ancilla), and ``ancilla_weights`` is its mixed ancilla
+    preparation, if any. The matrix is checked to be unitary by the dense
+    product u†u.
     """
 
     matrix: np.ndarray
     factor_dims: tuple
     kind: str
     ancilla_weights: tuple | None = None
-    unitary_checked: InitVar[bool] = False
-    _kraus: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self, unitary_checked):
+    def __post_init__(self):
         dim = int(np.prod(self.factor_dims))
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match "
                              f"factor dims {self.factor_dims}")
-        if not unitary_checked and not is_unitary(self.matrix, UNITARY_TOL):
+        if not is_unitary(self.matrix, UNITARY_TOL):
             raise ValueError("dilation matrix is not unitary")
+
+
+@dataclass(frozen=True, eq=False)
+class LocalityDilation:
+    """A locality dilation on walker ⊗ node ⊗ ancilla, held as its block table.
+
+    ``factor_dims`` is (d, N, k). Row t of the table is the one block that
+    lands on (target, level out) = divmod(t, k): it maps |sources[t],
+    levels_in[t]> there, applying the d x d unitary ``ops[t]``. The
+    ancilla is prepared as ``ancilla_weights`` (the generalized kind) or
+    as diag(1-omega, omega) (the plain one). ``matrix`` assembles the dense
+    unitary anew on every read.
+    """
+
+    factor_dims: tuple
+    kind: str
+    ancilla_weights: tuple | None
+    sources: np.ndarray
+    levels_in: np.ndarray
+    ops: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        d, n, k = self.factor_dims
+        dim = d * n * k
+        if dim > MAX_DENSE_DIM:
+            raise ValueError(f"dilation dimension {dim} exceeds the dense cap {MAX_DENSE_DIM}")
+        u = np.zeros((d, n * k, d, n * k), dtype=complex)
+        u[:, np.arange(n * k), :, self.sources * k + self.levels_in] = self.ops
+        return u.reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -113,39 +134,35 @@ def sznagy_unitary(k) -> DilationUnitary:
 
 
 def _locality_unitary(factor_dims, entries, kind: str,
-                      ancilla_weights: tuple | None = None) -> DilationUnitary:
-    """Dense locality dilation on walker ⊗ node ⊗ ancilla, written block by
-    block: entry (source, target, level_in, level_out, U) maps |source,
-    level_in> to |target, level_out> applying U.
+                      ancilla_weights: tuple | None = None) -> LocalityDilation:
+    """Locality dilation on walker ⊗ node ⊗ ancilla from its blocks: entry
+    (source, target, level_in, level_out, U) maps |source, level_in> to
+    |target, level_out> applying U.
 
-    Unitarity is checked on the blocks instead of by the dense product: the
-    entries must map the (node, level) pairs one to one onto themselves,
-    and each U must be unitary to ``UNITARY_TOL``. Then u†u is block
-    diagonal with blocks U†U, so this is the dense check.
+    The entries must map the (node, level) pairs one to one onto
+    themselves, and each U must be unitary to ``UNITARY_TOL``. Then u†u is
+    block diagonal with blocks U†U, so the dilation is unitary.
     """
     _, n, k = factor_dims
-    dim = int(np.prod(factor_dims))
-    if dim > MAX_DENSE_DIM:
-        raise ValueError(f"dilation dimension {dim} exceeds the dense cap {MAX_DENSE_DIM}")
     pairs = {(node, level) for node in range(n) for level in range(k)}
     sources = {(source, level_in) for source, _, level_in, _, _ in entries}
     targets = {(target, level_out) for _, target, _, level_out, _ in entries}
     if len(entries) != len(pairs) or sources != pairs or targets != pairs:
         raise ValueError("dilation matrix is not unitary: its blocks do not map the "
                          "(node, level) pairs one to one")
-    unitary = unitary_deviation([op for *_, op in entries]) <= UNITARY_TOL
+    entries = sorted(entries, key=lambda e: (e[1], e[3]))
+    ops = np.array([op for *_, op in entries], dtype=complex)
+    unitary = unitary_deviation(ops) <= UNITARY_TOL
     if not unitary.all():
         source, target, level_in, level_out, _ = entries[int(np.argmin(unitary))]
         raise ValueError(f"dilation matrix is not unitary: block ({source}, {level_in}) "
                          f"-> ({target}, {level_out}) is not")
-    u = np.zeros((dim, dim), dtype=complex)
-    blocks = u.reshape(factor_dims * 2)
-    for source, target, level_in, level_out, op in entries:
-        blocks[:, target, level_out, :, source, level_in] = op
-    return DilationUnitary(u, factor_dims, kind, ancilla_weights, unitary_checked=True)
+    return LocalityDilation(factor_dims, kind, ancilla_weights,
+                            np.array([e[0] for e in entries]),
+                            np.array([e[2] for e in entries]), ops)
 
 
-def build_u_loc(chain: core.LinearChainSpec) -> DilationUnitary:
+def build_u_loc(chain: core.LinearChainSpec) -> LocalityDilation:
     """Locality dilation on walker ⊗ node ⊗ ancilla-qubit.
 
     Ancilla |1> drives a right move applying U_i, |0> a left move applying
@@ -173,7 +190,7 @@ def _scaled_unitary_decomposition(b, tol=UNITARY_TOL):
     return w, b / np.sqrt(w)
 
 
-def build_generalized(spec: core.OqwSpec, k: int) -> DilationUnitary:
+def build_generalized(spec: core.OqwSpec, k: int) -> LocalityDilation:
     """Locality dilation with a k-level ancilla for k jumps per node.
 
     Requirements checked: every node has exactly k nonzero jumps, each a
@@ -232,51 +249,36 @@ def build_generalized(spec: core.OqwSpec, k: int) -> DilationUnitary:
                              "generalized", tuple(canonical.tolist()))
 
 
-def _kraus_stack(dil: DilationUnitary, weights: tuple) -> tuple:
-    """The reduced step's Kraus operators W_ab = sqrt(p_a) V_ab, where V_ab
-    is the dN x dN block of the dilation from ancilla level a to level b and
-    p_a > 0 the ancilla weight of level a: as one (dN, K dN) row of them
-    and as the (K, dN, dN) stack of their adjoints. Made once per weights
-    and kept on ``dil``."""
-    cached = dil._kraus
-    if cached is not None and cached[0] == weights:
-        return cached[1:]
-    d, n, k = dil.factor_dims
-    dim = d * n
-    p = np.array(weights, dtype=float)
-    levels = np.flatnonzero(p > 0.0)
-    # blocks[a, b] = V_ab: the rows with ancilla b of the columns with ancilla a
-    blocks = dil.matrix.reshape(dim, k, dim, k).transpose(3, 1, 0, 2)[levels]
-    stack = (blocks * np.sqrt(p[levels])[:, None, None, None]).reshape(-1, dim, dim)
-    row = np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(dim, -1)
-    adjoints = np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
-    dil._kraus = (weights, row, adjoints)
-    return row, adjoints
-
-
-def step_via_dilation(dil: DilationUnitary, state: core.DiagonalState,
+def step_via_dilation(dil: LocalityDilation | DilationUnitary, state: core.DiagonalState,
                       omega: float) -> core.DiagonalState:
-    """One walk step through the dilation: with the ancilla prepared in a
-    mixture of levels a with weights p_a, applying the unitary and tracing
-    the ancilla is the map rho -> sum_ab W_ab rho W_ab†, W_ab = sqrt(p_a) V_ab
-    (``_kraus_stack``); then the diagonal blocks are re-extracted.
+    """One walk step through a locality dilation, with the ancilla prepared
+    in a mixture of levels a with weights p_a, then traced out.
 
-    The ancilla is prepared as diag(1-omega, omega) for the plain locality
-    dilation and as the canonical weight mixture for the generalized one.
-    The step stays dense and independent of ``core.evolve``, because this
-    route is an oracle for it. Off-diagonal residue on the node register flags an
-    internal inconsistency (``DiagonalState.from_dense`` raises).
+    On the block table this is rho'_target = sum p_level_in U rho_source U†
+    over the blocks landing on the target, one batched product and one
+    sum, O(N k d³). A matrix given directly (``DilationUnitary``) may move
+    a node into a superposition of nodes, which only the full space shows:
+    it steps through its Kraus operators sqrt(p_a) V_ab, the dN x dN blocks
+    from level a to level b, into the shared diagonal-form check
+    (``DiagonalState.from_dense`` raises). The route reads the dilation's
+    own labelling, never ``core``'s jumps, because it is an oracle for
+    ``core.evolve``.
     """
     if dil.kind not in ("local", "generalized"):
         raise ValueError(f"stepping requires a locality dilation, got {dil.kind!r}")
     d, n, k = dil.factor_dims
     if state.n_nodes != n or state.walker_dim != d:
         raise ValueError("state dimensions do not match the dilation")
-    weights = dil.ancilla_weights if dil.ancilla_weights is not None else (1.0 - omega, omega)
-    row, adjoints = _kraus_stack(dil, tuple(weights))
-    # one product per operator, rho W†, stacked; then sum_ab W_ab (rho W_ab†) as one product
-    evolved = row @ np.matmul(state.to_dense(), adjoints).reshape(-1, d * n)
-    return core.DiagonalState.from_dense(evolved, n, d)
+    p = np.array(dil.ancilla_weights if dil.ancilla_weights is not None else (1.0 - omega, omega))
+    if isinstance(dil, DilationUnitary):
+        # kraus[b, a] = sqrt(p_a) V_ab: the rows with ancilla b of the columns with ancilla a
+        kraus = dil.matrix.reshape(d * n, k, d * n, k).transpose(1, 3, 0, 2)
+        kraus = kraus * np.sqrt(p)[:, None, None]
+        evolved = (kraus @ state.to_dense() @ kraus.conj().swapaxes(2, 3)).sum((0, 1))
+        return core.DiagonalState.from_dense(evolved, n, d)
+    ops = dil.ops
+    out = ops @ state.blocks[dil.sources] @ ops.conj().swapaxes(1, 2) * p[dil.levels_in, None, None]
+    return core.DiagonalState(n, out.reshape(n, k, d, d).sum(1))
 
 
 _METHODS = ("stinespring", "sznagy", "local")

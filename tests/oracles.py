@@ -21,8 +21,9 @@ step, for ``channels.iterate_limit``, which steps and checks in windows; it
 must give the same block, step count and errors.
 
 The dilation step through the full space, for
-``dilation.step_via_dilation``, which applies the reduced map's Kraus
-operators to the walker-node state instead: the unitary on state ⊗ ancilla,
+``dilation.step_via_dilation``, which steps a locality dilation on its
+block table instead, rho'_target = sum p_level_in U rho_source U†: here the
+dense unitary (``matrix``, assembled from the table) on state ⊗ ancilla,
 then the partial trace over the ancilla. The two add the same terms in
 another order, so they agree to roundoff, not bit for bit.
 

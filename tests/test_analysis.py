@@ -11,7 +11,6 @@ from oqwalk.analysis import (
     gaussian_profile,
     iterate_master,
     kolmogorov_distance,
-    master_step,
     omega_for_success,
     steady_state,
     steps_bound_for_eta,
@@ -115,7 +114,7 @@ def test_omega_guarantee_grid():
 
 
 def test_master_step_single_step():
-    out = master_step(delta0(5), ChainParams(5, 2 / 3))
+    out = iterate_master(delta0(5), ChainParams(5, 2 / 3), 1)
     np.testing.assert_allclose(out, [1 / 3, 2 / 3, 0, 0, 0], atol=1e-15)
 
 
@@ -125,13 +124,13 @@ def test_master_step_equals_matrix_action():
         n = int(rng.integers(2, 30))
         p = ChainParams(n, rng.uniform(0.05, 0.95))
         dist = rng.dirichlet(np.ones(n))
-        np.testing.assert_allclose(master_step(dist, p),
+        np.testing.assert_allclose(iterate_master(dist, p, 1),
                                    transition_matrix(p) @ dist, atol=1e-15)
 
 
 def test_master_step_rejects_wrong_length():
     with pytest.raises(ValueError):
-        master_step(np.ones(3) / 3, ChainParams(4, 0.6))
+        iterate_master(np.ones(3) / 3, ChainParams(4, 0.6), 1)
 
 
 def test_master_equation_drift_estimate():
@@ -248,6 +247,6 @@ def test_negative_step_count_rejected(run):
 def test_master_step_steps_each_column():
     p = ChainParams(6, 0.3)
     cols = np.random.default_rng(4).dirichlet(np.ones(6), size=3).T
-    out = master_step(cols, p)
+    out = iterate_master(cols, p, 1)
     for k in range(3):
-        assert np.array_equal(out[:, k], master_step(cols[:, k], p))
+        assert np.array_equal(out[:, k], iterate_master(cols[:, k], p, 1))

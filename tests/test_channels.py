@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oqwalk import channels, core
+from oqwalk import channels, circuit, core, dilation
 from oqwalk.analysis import ChainParams, steady_state
 from oqwalk.matrixkit import (
     I2,
@@ -277,3 +277,43 @@ def test_analytic_limit_sweep_matches_per_node_products():
         200, 0.5, [haar_unitary(2, rng) for _ in range(199)]))
     for case in (real, haar):
         assert np.abs(channels.limit_state(case) - loop_analytic_limit(case)).max() <= 1e-12
+
+
+# --- the realizations through the circuit and the dilation ----------------------
+
+def route_realizations():
+    rng = np.random.default_rng(40)
+    for omega in (0.3, 0.5, 0.8):
+        for p in (0.0, 0.3, 0.7, 1.0):
+            real = channels.dephasing_realization(p, random_density(2, rng), omega)
+            yield pytest.param(real, id=f"dephasing-{p}-{omega}")
+        for lam in (0.1, 0.4, 1.0):
+            real = channels.depolarizing_realization(lam, random_density(2, rng), omega)
+            yield pytest.param(real, id=f"depolarizing-{lam}-{omega}")
+    # d = 3 runs the circuit on padded walker sectors, and 3, 5 or 6 nodes
+    # on a padded node register
+    for d in (2, 3):
+        for m in range(1, 7):
+            pairs = [(q, haar_unitary(d, rng)) for q in rng.dirichlet(np.ones(m))]
+            yield pytest.param(channels.embed_random_unitary(pairs, random_density(d, rng)),
+                               id=f"embed-{m}-d{d}")
+
+
+@pytest.mark.parametrize("real", route_realizations())
+def test_realization_runs_through_every_route(real):
+    # each route's state equals core.evolve's at every step, and at the step
+    # iterate_limit stops at, each post-selects to the channel's output
+    _, steps = channels.iterate_limit(real)
+    omega = real.chain.omega
+    step_circ = circuit.build_walk(real.chain, 1)
+    dil = dilation.build_u_loc(real.chain)
+    direct = via_circ = via_dil = real.initial
+    for _ in range(steps):
+        direct = core.evolve(real.spec, direct, 1)
+        via_circ = circuit.simulate_density(step_circ, via_circ, omega)
+        via_dil = dilation.step_via_dilation(dil, via_dil, omega)
+        for via in (via_circ, via_dil):
+            assert np.abs(via.blocks - direct.blocks).max() <= 1e-12
+    for state in (direct, via_circ, via_dil):
+        limit = channels.postselect(state, real.target_node)
+        assert trace_distance(limit, real.analytic_limit) <= 1e-10

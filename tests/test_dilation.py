@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oqwalk import core, dilation
+from oqwalk import circuit, core, dilation
 from oqwalk.cli import main
 from oqwalk.matrixkit import (
     I2,
@@ -372,10 +372,9 @@ def test_generalized_blocks_equal_kron_sum(spec, k):
     assert gen.ancilla_weights == weights
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 33])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 33, 64, 100])
 def test_kraus_step_equals_full_space_step_on_chains(n):
-    # one dilation per chain serves every omega, so the Kraus stack kept on
-    # it is made again for each new ancilla mixture
+    # one dilation per chain serves every omega
     rng = np.random.default_rng(400 + n)
     for d in (1, 2, 3, 4):
         dil = dilation.build_u_loc(random_chain(n, 0.5, rng, d))
@@ -400,13 +399,13 @@ def test_kraus_step_equals_full_space_step_on_generalized_walks(spec, k):
 
 def test_dense_cap_refuses_before_allocating():
     n = dilation.MAX_DENSE_DIM // 4 + 1
-    chain = core.LinearChainSpec(n, 0.6, [np.eye(2)] * (n - 1))
+    dil = dilation.build_u_loc(core.LinearChainSpec(n, 0.6, [np.eye(2)] * (n - 1)))
     tracemalloc.start()
     start = time.perf_counter()
     try:
         with pytest.raises(ValueError, match=f"dimension {4 * n} exceeds the dense cap "
                                              f"{dilation.MAX_DENSE_DIM}"):
-            dilation.build_u_loc(chain)
+            dil.matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,16 +413,34 @@ def test_dense_cap_refuses_before_allocating():
     assert peak < (4 * n) ** 2  # a 16 bytes/entry matrix was never allocated
 
 
-def test_verify_over_the_cap_fails_cleanly(capsys):
+def test_verify_over_the_dense_cap_passes(capsys):
+    # the step runs on the block table, so the cap on the dense view does
+    # not reach verify
     n = dilation.MAX_DENSE_DIM // 4 + 1
     start = time.perf_counter()
-    code = main(["verify", "--N", str(n)])
+    code = main(["verify", "--N", str(n), "--steps", "1"])
     assert time.perf_counter() - start < 5.0
     captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == (f"failure: dilation dimension {4 * n} exceeds the dense cap "
-                            f"{dilation.MAX_DENSE_DIM}\n")
+    assert code == 0
+    assert captured.err == ""
+    assert '"pass": true' in captured.out
+
+
+@pytest.mark.parametrize("n, d", [(1000, 2), (1024, 2), (4096, 2), (1024, 3)])
+def test_routes_agree_past_the_dense_view_cap(n, d):
+    # every dilation here is larger than the dense view's cap of 2048
+    rng = np.random.default_rng(600 + n + d)
+    chain = random_chain(n, rng.uniform(0.2, 0.8), rng, d)
+    spec = core.chain_to_spec(chain)
+    dil = dilation.build_u_loc(chain)
+    step_circ = circuit.build_walk(chain, 1)
+    direct = via_dil = via_circ = random_diagonal_state(n, d, rng)
+    for _ in range(2):
+        direct = core.step(spec, direct)
+        via_dil = dilation.step_via_dilation(dil, via_dil, chain.omega)
+        via_circ = circuit.simulate_density(step_circ, via_circ, chain.omega)
+        for via in (via_dil, via_circ):
+            assert trace_distance(direct.blocks, via.blocks).max() <= 1e-10
 
 
 # --- resource accounting --------------------------------------------------------

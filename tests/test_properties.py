@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from oqwalk import circuit, core, dilation
 from oqwalk.cli import main
-from oqwalk.analysis import CYCLE_CHECK, ChainParams, iterate_master, master_step
+from oqwalk.analysis import CYCLE_CHECK, ChainParams, iterate_master
 from oqwalk.channels import (
     ChannelRealization,
     coefficient_evolution,
@@ -72,7 +72,8 @@ def loop_iterate(dist, p, steps):
 def test_master_step_equals_per_node_loop_bitwise(n, omega, seed):
     p = ChainParams(n, omega)
     dist = np.random.default_rng(seed).dirichlet(np.ones(n))
-    assert np.array_equal(master_step(dist, p), loop_master_step(dist, n, p.omega, p.lam))
+    assert np.array_equal(iterate_master(dist, p, 1),
+                          loop_master_step(dist, n, p.omega, p.lam))
 
 
 @FEW
