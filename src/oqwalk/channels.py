@@ -17,7 +17,7 @@ from .analysis import iterate_master
 from .matrixkit import X, Y, Z, asmatrix, is_unitary, trace_distance
 
 
-@dataclass
+@dataclass(eq=False)
 class ChannelRealization:
     """Walk that realizes a channel on its final node.
 
@@ -48,6 +48,9 @@ def coefficient_evolution(chain: core.LinearChainSpec, initial_masses, n: int) -
     column then follows the classical birth-death recursion on the node
     index, ``analysis.iterate_master``, so the result is the n-th power of
     the transition matrix.
+
+    ``initial_masses`` is checked (length N, sum 1) but does not enter the
+    coefficients, which weigh each starting node alike whatever its mass.
     """
     masses = np.asarray(initial_masses, dtype=float)
     nn = chain.n_nodes

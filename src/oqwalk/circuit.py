@@ -312,19 +312,6 @@ def build_walk(chain: core.LinearChainSpec, n: int, ancilla_policy: str = "reuse
 
 # --- simulation ------------------------------------------------------------
 
-def circuit_matrix(circuit: Circuit) -> np.ndarray:
-    """Total unitary of a measurement-free circuit on its declared qubits,
-    through the same compiled ops as ``simulate_density``, ket side only."""
-    circuit.validate()
-    if any(gate.kind in ("measure_nonsel", "reset") for gate in circuit.gates):
-        raise ValueError("circuit_matrix requires a unitary circuit")
-    live = sorted(circuit.all_qubits())
-    dim = 2 ** len(live)
-    plan = compile_gates(circuit.gates, live, set(live), density=False)
-    total = plan.run(np.eye(dim, dtype=complex).reshape((2,) * len(live) + (dim,)))
-    return total.reshape(dim, dim)
-
-
 class _DensityPlan(NamedTuple):
     """The compiled ``simulate_density`` plans and what they were compiled
     from: ``plan`` runs the block, ``tail_plan`` (None without a tail) its
@@ -353,11 +340,11 @@ def _density_plan(circuit: Circuit) -> _DensityPlan:
     main = list(qh) + list(qg)
     if main != list(range(h + g)):
         raise ValueError("walker and node registers must occupy the leading qubits")
-    plan = compile_gates(block, main, set(main), classical=qg)
+    plan = compile_gates(block, main, classical=qg)
     if (repeat > 1 or tail) and not plan.classical:
         raise ValueError("a block that repeats or has a tail must end with the node "
                          "register classical")
-    tail_plan = compile_gates(block[:tail], main, set(main), classical=qg) if tail else None
+    tail_plan = compile_gates(block[:tail], main, classical=qg) if tail else None
     cached = _DensityPlan((list(block), repeat, tail, dict(circuit.registers)), (2 ** h, 2 ** g),
                           [gate.angle for gate in block if gate.kind == "ry"], plan, tail_plan)
     circuit._plan = cached

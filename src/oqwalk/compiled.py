@@ -1,10 +1,10 @@
-"""Compiled gate lists: the kernels of the circuit simulators.
+"""Compiled gate lists: the kernel of the circuit simulator.
 
-``compile_gates`` turns a gate list into ops once, for a density state or
-for the ket side alone: the ancilla attach and trace-out schedule, a run of
-X gates as one basis permutation, a run of ``u`` gates on the same targets
-under the same control qubits as one multiplexor. A ``Plan`` runs the ops.
-``circuit.simulate_density`` and ``circuit.circuit_matrix`` are built on it.
+``compile_gates`` turns a gate list into ops on a density state once: the
+ancilla attach and trace-out schedule, a run of X gates on classical qubits
+as one basis permutation, a run of ``u`` gates on the same targets under the
+same control qubits as one multiplexor. A ``Plan`` runs the ops.
+``circuit.simulate_density`` is built on it.
 
 A density state holds each qubit as classical or quantum, marked by the
 compiler at every op from the gate list alone. A classical qubit's ket and
@@ -48,9 +48,9 @@ def ry_matrix(theta: float) -> np.ndarray:
 def _slice_view(shape: tuple, fixed: tuple, select: tuple, targets: tuple) -> tuple:
     """How to view a state tensor inside one control slice.
 
-    ``shape`` has one size-2 axis per qubit side (and may end in one larger
-    axis); ``fixed`` holds (axis, value) pairs for the axes fixed in the
-    slice; ``select`` and ``targets`` list axes in significance order.
+    ``shape`` has one size-2 axis per qubit side; ``fixed`` holds (axis,
+    value) pairs for the axes fixed in the slice; ``select`` and ``targets``
+    list axes in significance order.
     Returns (how, flat): ``_view(t, how)`` is a view of the slice with the
     select axes first, then the target axes, then the rest. Neighbouring
     axes of one kind are merged into one axis, so numpy copies and
@@ -93,16 +93,16 @@ class _GateShape(NamedTuple):
     qubits: tuple
 
 
-def _joins(run: list, patterns: set, gate: _GateShape, x_class) -> bool:
-    """Whether ``gate`` extends the fusable run: an X joins an X run of its
-    class (``x_class``; None keeps it alone); a ``u`` joins a ``u`` run on
+def _joins(run: list, patterns: set, gate: _GateShape, classical) -> bool:
+    """Whether ``gate`` extends the fusable run: an X on ``classical``
+    qubits alone joins an X run of such gates; a ``u`` joins a ``u`` run on
     the same targets under the same control qubits with a control pattern
     the run does not have yet."""
     if not run or gate.kind != run[0][1].kind or gate.kind not in ("x", "u"):
         return False
     first = run[0][1]
     if gate.kind == "x":
-        return x_class(gate) is not None and x_class(gate) == x_class(first)
+        return classical(gate) and classical(first)
     return (
         gate.targets == first.targets
         and {q for q, _ in gate.controls} == {q for q, _ in first.controls}
@@ -189,11 +189,10 @@ def _flip_op(gate: _GateShape, sides: list, shape: tuple) -> tuple:
     return op, False
 
 
-def _perm_op(run: list, axis: dict, lead: int, columns: bool) -> tuple:
-    """A run of X gates on the qubits of the ``lead`` leading axes as one
-    basis permutation, found by flipping an index tensor gate by gate;
-    applied as one gather of rows (the classical index, or the ket index),
-    then, with ``columns``, of bra columns."""
+def _perm_op(run: list, axis: dict, lead: int) -> tuple:
+    """A run of X gates on the qubits of the ``lead`` leading (classical)
+    axes as one basis permutation, found by flipping an index tensor gate by
+    gate; applied as one gather of rows of the classical index."""
     dim = 2 ** lead
     index = np.arange(dim).reshape((2,) * lead)
     for _, gate in run:
@@ -206,11 +205,8 @@ def _perm_op(run: list, axis: dict, lead: int, columns: bool) -> tuple:
         rows = spare[:m.size].reshape(m.shape)
         # mode="clip": every index is in range, and "raise" would buffer out
         np.take(m, perm, axis=0, out=rows, mode="clip")
-        if not columns:
-            return rows.reshape(t.shape)
-        np.take(rows, perm, axis=1, out=m, mode="clip")
-        return t
-    return op, not columns
+        return rows.reshape(t.shape)
+    return op, True
 
 
 def _embed_op(shape: tuple, out_shape: tuple, pairs: list) -> tuple:
@@ -257,8 +253,8 @@ def _diagonal_op(shape: tuple, axes: tuple, stack: bool) -> tuple:
 class Plan:
     """A gate list compiled against a qubit layout. ``live`` is the qubit
     order of the result, whose first ``len(classical)`` qubits are classical
-    (one axis each) and the rest quantum (a ket and a bra axis each, for a
-    density); ``size`` is the largest state, in entries, on the way.
+    (one axis each) and the rest quantum (a ket and a bra axis each);
+    ``size`` is the largest state, in entries, on the way.
 
     The two state buffers are made on the first ``run`` and kept for later
     ones; a lock keeps concurrent runs of one plan apart.
@@ -288,51 +284,43 @@ class Plan:
             return x.copy()
 
 
-def compile_gates(gates: list, live, keep, density: bool = True, classical=()) -> Plan:
+def compile_gates(gates: list, live, classical=()) -> Plan:
     """Compile a gate list once into fused ops.
 
-    A maximal run of X gates becomes one permutation (``_perm_op``) when its
-    gates touch classical qubits alone, or when no qubit is classical; a
-    maximal run of ``u`` gates on the same targets under the same control
-    qubits with distinct patterns becomes one multiplexor (``_unitary_op``).
-    Any other X flips its slice (``_flip_op``) and a lone ``u`` or RY is a
-    multiplexor without select controls. A run never spans a change of
-    layout (an attach, a trace-out, a qubit made classical or quantum), so
-    every op sees one layout.
+    A maximal run of X gates on classical qubits alone becomes one
+    permutation (``_perm_op``); a maximal run of ``u`` gates on the same
+    targets under the same control qubits with distinct patterns becomes one
+    multiplexor (``_unitary_op``). Any other X flips its slice (``_flip_op``)
+    and a lone ``u`` or RY is a multiplexor without select controls. A run
+    never spans a change of layout (an attach, a trace-out, a qubit made
+    classical or quantum), so every op sees one layout.
 
-    ``density``: the state holds the qubits of ``live`` in the order
-    ``classical``, then the rest of ``live`` (see the module docstring).
-    ``classical`` lists qubits whose ket and bra are equal in the input:
-    each is then one axis of the classical index. A qubit enters the state
-    as |0><0| when first touched, and one not in ``keep`` is traced out as
-    soon as no later gate references it; so the live dimension stays at
-    walker x node x one ancilla pair even for the fresh ancilla policy; a
-    reset that is such a qubit's last use only traces it out. A
-    circuit that ends in the input layout gives the state back in it. Any
-    other (say one that leaves a qubit of ``classical`` in superposition)
-    ends by making every qubit quantum, so the result is the dense
-    ``(2,) * 2nq`` tensor in attach order and the plan's ``classical`` is
-    empty.
-
-    Without ``density`` the state is ``(2,) * nq`` plus one trailing axis of
-    size 2^nq, ket side only, and every qubit is quantum: ``classical`` is
-    ignored; a gate on a qubit outside ``live``, a measurement or a reset
-    raises ``ValueError``.
+    The state holds the qubits of ``live`` in the order ``classical``, then
+    the rest of ``live`` (see the module docstring). ``classical`` lists
+    qubits whose ket and bra are equal in the input: each is then one axis
+    of the classical index. A qubit enters the state as |0><0| when first
+    touched, and one outside ``live`` is traced out as soon as no later gate
+    references it; so the live dimension stays at walker x node x one
+    ancilla pair even for the fresh ancilla policy. A reset traces its qubit
+    out, and re-attaches it unless it is outside ``live`` and never used
+    again. A circuit that ends in the input layout gives the state back in
+    it. Any other (say one that leaves a qubit of ``classical`` in
+    superposition) ends by making every qubit quantum, so the result is the
+    dense ``(2,) * 2nq`` tensor in attach order and the plan's ``classical``
+    is empty.
 
     Everything but the gates' matrices and angles depends on the gate
     shapes alone (``_schedule``), so circuits of one shape share that work.
     """
     shapes = tuple(_GateShape(g.kind, g.targets, tuple(g.controls), g.qubits) for g in gates)
-    steps, final, size, held = _schedule(shapes, tuple(live), frozenset(keep), density,
-                                         tuple(classical) if density else ())
+    steps, final, size, held = _schedule(shapes, tuple(live), tuple(classical))
     ops = [_unitary_op(step, gates) if isinstance(step, _UnitarySlots) else step
            for step in steps]
     return Plan(ops, list(final), size, held)
 
 
 @functools.lru_cache(maxsize=64)
-def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool,
-              classical: tuple) -> tuple:
+def _schedule(gates: tuple, live: tuple, classical: tuple) -> tuple:
     """The ops of ``compile_gates`` for gates of these shapes, with each
     multiplexor left as its ``_UnitarySlots``; the final qubit order; the
     largest state size; the classical qubits the plan takes and gives.
@@ -349,10 +337,6 @@ def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool,
     for pos, gate in enumerate(gates):
         for q in gate.qubits:
             last_use[q] = pos
-    outside = sorted(set(last_use) - set(live))
-    if outside and not density:
-        raise ValueError(f"gates reference qubits {outside} outside the live qubits "
-                         f"{sorted(live)}")
     # where a trace-out can fall due: a last use, or the first gate for a
     # qubit that no gate touches
     ends = set(last_use.values()) | {0}
@@ -362,32 +346,23 @@ def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool,
         nonlocal size
         nc, nq = len(cl), len(qu)
         ket = {q: i for i, q in enumerate(cl + qu)}
-        if density:
-            layout["shape"] = (2,) * (nc + 2 * nq)
-            layout["sides"] = [(ket, False),
-                               ({q: a + nq * (a >= nc) for q, a in ket.items()}, True)]
-        else:
-            layout["shape"] = (2,) * nq + (2 ** nq,)
-            layout["sides"] = [(ket, False)]
+        layout["shape"] = (2,) * (nc + 2 * nq)
+        layout["sides"] = [(ket, False), ({q: a + nq * (a >= nc) for q, a in ket.items()}, True)]
         size = max(size, math.prod(layout["shape"]))
 
     def axes(q):
         # one per side; a classical qubit's one axis serves both
         return tuple(dict.fromkeys(axis[q] for axis, _ in layout["sides"]))
 
-    def x_class(gate):
-        # the axes an X run may permute: classical ones, or all if none is
-        if all(q in cl for q in gate.qubits):
-            return "classical"
-        return None if cl else "quantum"
+    def classical_x(gate):
+        # an X run permutes the classical index only
+        return all(q in cl for q in gate.qubits)
 
     def flush():
         if run and run[0][1].kind != "x":
             steps.append(_unitary_slots(run, layout["sides"], layout["shape"]))
         elif len(run) > 1:
-            quantum = x_class(run[0][1]) == "quantum"
-            steps.append(_perm_op(run, layout["sides"][0][0], len(qu) if quantum else len(cl),
-                                  quantum and density))
+            steps.append(_perm_op(run, layout["sides"][0][0], len(cl)))
         elif run:
             steps.append(_flip_op(run[0][1], layout["sides"], layout["shape"]))
         run.clear()
@@ -440,24 +415,22 @@ def _schedule(gates: tuple, live: tuple, keep: frozenset, density: bool,
                 attach(q, q in lifted)
             elif q in cl and q in lifted:
                 promote(q)
-        if gate.kind in ("measure_nonsel", "reset") and not density:
-            raise ValueError(f"a ket-side plan cannot apply {gate.kind}")
         if gate.kind == "measure_nonsel":
             measure(gate.targets[0])
         elif gate.kind == "reset":
             trace_out(gate.targets[0])
-            if gate.targets[0] in keep or last_use[gate.targets[0]] > pos:
+            if gate.targets[0] in live or last_use[gate.targets[0]] > pos:
                 attach(gate.targets[0], False)
         else:
-            if not _joins(run, patterns, gate, x_class):
+            if not _joins(run, patterns, gate, classical_x):
                 flush()
             run.append((pos, gate))
             patterns.add(frozenset(gate.controls))
         if pos in ends:
-            for q in [q for q in order if q not in keep and last_use.get(q, -1) <= pos]:
+            for q in [q for q in order if q not in live and last_use.get(q, -1) <= pos]:
                 trace_out(q)
     flush()
-    for q in [q for q in order if q not in keep]:
+    for q in [q for q in order if q not in live]:
         trace_out(q)
     if (cl, qu) != (list(classical), [q for q in live if q not in classical]):
         for q in list(cl):

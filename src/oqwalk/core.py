@@ -24,7 +24,7 @@ CONSTRUCTION_TOL = 1e-10
 SUPEROPERATOR_MAX_DIM = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OqwSpec:
     """Walk specification: node count, walker dimension, jump operators.
 
@@ -223,7 +223,7 @@ class DiagonalState:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearChainSpec:
     """Linear-chain computation model: N nodes, rightward bias omega, and
     unitaries U_0 .. U_{N-2} applied on the rightward jumps.

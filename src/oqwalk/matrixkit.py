@@ -31,11 +31,6 @@ def dagger(a) -> np.ndarray:
     return asmatrix(a).conj().T
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices; dimensions multiply."""
-    return np.kron(asmatrix(a), asmatrix(b))
-
-
 def unitary_deviation(u) -> np.ndarray:
     """``max |U†U - I|`` for each matrix U of a (..., d, d) stack, in one
     batched product; a 2-D input gives one value. nan where U holds a nan."""
@@ -68,30 +63,6 @@ def psd_sqrt(a, herm_tol: float = 1e-8, eig_floor: float = -1e-10) -> np.ndarray
         raise ValueError(f"matrix is not PSD: min eigenvalue {vals.min():.3e}")
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     return (root + root.conj().T) / 2
-
-
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Reduced matrix over the kept tensor factors.
-
-    ``dims`` lists the dimension of each factor (their product must equal
-    the matrix dimension); ``keep`` is an iterable of factor indices to
-    retain, in their original order. Trace is preserved.
-    """
-    rho = asmatrix(rho)
-    dims = list(dims)
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValueError(f"dims {dims} do not match matrix shape {rho.shape}")
-    keep = sorted(set(keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
-    traced = [i for i in range(len(dims)) if i not in keep]
-    tensor = rho.reshape(dims + dims)
-    for i in reversed(traced):
-        n = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=i, axis2=i + n)
-    kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return tensor.reshape(kept_dim, kept_dim)
 
 
 def trace_distance(a, b):

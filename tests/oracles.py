@@ -5,13 +5,15 @@ steady`` once built this N x N matrix and applied it by repeated
 matrix-vector products. BLAS rounds those products differently from the
 recursion, so assertions against this route carry a tolerance.
 
-The gate-by-gate density simulator, for ``circuit.simulate_density`` and
-``circuit.circuit_matrix``, which now run a compiled, fused op list. Each
-fused op does per pattern the arithmetic this oracle does per gate. So the
-unitary of a circuit agrees bit for bit, and so does the density of a walk,
-whose node register stays diagonal; on a state with coherence between two
-patterns of a multiplexor the fused op may apply their ket and bra sides in
-the other order, which rounds differently.
+The gate-by-gate density simulator, for ``circuit.simulate_density``, which
+now runs a compiled, fused op list. Each fused op does per pattern the
+arithmetic this oracle does per gate. So the density of a walk, whose node
+register stays diagonal, agrees bit for bit; on a state with coherence
+between two patterns of a multiplexor the fused op may apply their ket and
+bra sides in the other order, which rounds differently. The same per-gate
+kernel on the identity gives a unitary circuit's matrix
+(``circuit_matrix``), which the package no longer computes; the tests check
+the shift ladders and walk blocks with it.
 
 The birth-death recursion run step by step, for ``analysis.iterate_master``,
 which skips whole periods once the state repeats bit for bit; it must agree
@@ -24,7 +26,8 @@ The dilation step through the full space, for
 ``dilation.step_via_dilation``, which steps a locality dilation on its
 block table instead, rho'_target = sum p_level_in U rho_source U†: here the
 dense unitary (``matrix``, assembled from the table) on state ⊗ ancilla,
-then the partial trace over the ancilla. The two add the same terms in
+then the partial trace over the ancilla (``partial_trace``, a dense
+reduction the package does not need). The two add the same terms in
 another order, so they agree to roundoff, not bit for bit.
 
 The Haar draw one matrix at a time, for ``matrixkit.haar_unitaries``, which
@@ -40,7 +43,7 @@ block, so the array forms agree with them bit for bit.
 import numpy as np
 
 from oqwalk import analysis, channels, circuit, compiled, core
-from oqwalk.matrixkit import partial_trace, trace_distance
+from oqwalk.matrixkit import asmatrix, trace_distance
 
 
 def transition_matrix(p) -> np.ndarray:
@@ -136,6 +139,30 @@ def iterate_limit(real, max_steps: int = 2000, tol: float = 1e-12) -> tuple:
         prev = cur
     raise RuntimeError(f"no convergence within {max_steps} steps "
                        f"(last delta {delta:.3e} vs tol {tol})")
+
+
+def partial_trace(rho, dims, keep) -> np.ndarray:
+    """Reduced matrix over the kept tensor factors.
+
+    ``dims`` lists the dimension of each factor (their product must equal
+    the matrix dimension); ``keep`` is an iterable of factor indices to
+    retain, in their original order. Trace is preserved.
+    """
+    rho = asmatrix(rho)
+    dims = list(dims)
+    total = int(np.prod(dims))
+    if rho.shape != (total, total):
+        raise ValueError(f"dims {dims} do not match matrix shape {rho.shape}")
+    keep = sorted(set(keep))
+    if any(k < 0 or k >= len(dims) for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
+    traced = [i for i in range(len(dims)) if i not in keep]
+    tensor = rho.reshape(dims + dims)
+    for i in reversed(traced):
+        n = tensor.ndim // 2
+        tensor = np.trace(tensor, axis1=i, axis2=i + n)
+    kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
+    return tensor.reshape(kept_dim, kept_dim)
 
 
 def step_via_dilation(dil, state, omega):
@@ -308,7 +335,8 @@ def simulate_density(circ, initial, omega=None):
 
 
 def circuit_matrix(circ) -> np.ndarray:
-    """``circuit.circuit_matrix`` gate by gate on the identity."""
+    """The total unitary of a measurement-free circuit on its declared
+    qubits, gate by gate on the identity."""
     nq = circ.n_qubits
     qubit_pos = {q: i for i, q in enumerate(sorted(circ.all_qubits()))}
     total = np.eye(2 ** nq, dtype=complex).reshape((2,) * nq + (2 ** nq,))

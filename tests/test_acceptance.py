@@ -34,7 +34,7 @@ from oqwalk.matrixkit import (
     random_pure_state,
     trace_distance,
 )
-from oracles import power_iterate, transition_matrix
+from oracles import circuit_matrix, power_iterate, transition_matrix
 
 
 def report(number, name, ok, detail):
@@ -235,8 +235,8 @@ def test_criterion_11_unitarity_suite():
         contraction = rng.uniform(0, 1) * haar_unitary(d, rng)
         worst = max(worst, dev(dilation.sznagy_unitary(contraction).matrix))
     for g in range(1, 6):
-        worst = max(worst, dev(circuit.circuit_matrix(circuit.build_increment(g))))
-        worst = max(worst, dev(circuit.circuit_matrix(circuit.build_decrement(g))))
+        worst = max(worst, dev(circuit_matrix(circuit.build_increment(g))))
+        worst = max(worst, dev(circuit_matrix(circuit.build_decrement(g))))
     report(11, "unitarity suite", worst <= 1e-10,
            f"all dilations, completions, blocks and ladders: max |U†U - I| = {worst:.3e}")
 

