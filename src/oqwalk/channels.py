@@ -17,7 +17,7 @@ from .analysis import iterate_master
 from .matrixkit import X, Y, Z, asmatrix, is_unitary, trace_distance
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """Walk that realizes a channel on its final node.
 

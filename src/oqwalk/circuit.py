@@ -19,10 +19,12 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby, islice, product
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -65,39 +67,41 @@ class Gate:
         object.__setattr__(self, "qubits", qubits)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Circuit:
     """Named registers plus a gate list held as ``block`` applied ``repeat``
     times, then the block's first ``tail`` gates (a block applied no times
     is kept as its tail, applied once). Only ``gates`` expands the list, so
-    a repeated gate is validated, priced, written and compiled once. Every
-    reader takes the structure through ``_structure``, so fields changed
-    after construction are checked as the constructor checks them."""
+    a repeated gate is validated, priced, written and compiled once.
 
-    registers: dict
-    block: list = field(default_factory=list)
+    A circuit is frozen and compares by identity: the constructor checks the
+    structure and the qubits once, and keeps ``block`` as a tuple and
+    ``registers`` as a read-only mapping of tuples. A ``u`` gate's matrix is
+    shared, not copied, so it must not change in place either.
+    """
+
+    registers: Mapping
+    block: tuple = ()
     repeat: int = 1
     tail: int = 0
-    # the compiled simulate_density plans, see _density_plan
-    _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.block, self.repeat, self.tail = self._structure()
-
-    def _structure(self) -> tuple:
-        """(block, repeat, tail), checked in O(1): raises ``ValueError`` unless
-        repeat >= 0 and 0 <= tail < len(block) (tail 0 for an empty block);
-        a block applied no times reads as its tail applied once."""
-        block, repeat, tail = self.block, self.repeat, self.tail
+        block, repeat, tail = tuple(self.block), self.repeat, self.tail
         if repeat < 0 or not 0 <= tail < max(len(block), 1):
             raise ValueError(f"need repeat >= 0 and 0 <= tail < {len(block)} gates "
                              f"in the block, got repeat={repeat} and tail={tail}")
-        return (block, repeat, tail) if repeat else (block[:tail], 1, 0)
+        if not repeat:
+            block, repeat, tail = block[:tail], 1, 0
+        object.__setattr__(self, "registers", MappingProxyType(
+            {name: tuple(qs) for name, qs in self.registers.items()}))
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "repeat", repeat)
+        object.__setattr__(self, "tail", tail)
+        self.validate()
 
     @property
     def gates(self) -> list:
-        block, repeat, tail = self._structure()
-        return block * repeat + block[:tail]
+        return list(self.block) * self.repeat + list(self.block[:self.tail])
 
     @property
     def n_qubits(self) -> int:
@@ -110,10 +114,30 @@ class Circuit:
         """Raise if a gate touches an undeclared qubit; each block gate is
         checked once."""
         declared = set(self.all_qubits())
-        for gate in self._structure()[0]:
+        for gate in self.block:
             missing = set(gate.qubits) - declared
             if missing:
                 raise ValueError(f"gate references undeclared qubits {sorted(missing)}")
+
+    @cached_property
+    def _plan(self) -> _DensityPlan:
+        """The compiled ``simulate_density`` plans, made on first use: the
+        block and the tail are compiled once each, however often the block
+        repeats; a block whose output feeds another run must give the node
+        register back classical."""
+        block, tail = self.block, self.tail
+        qh, qg = self.registers["qH"], self.registers["qG"]
+        h, g = len(qh), len(qg)
+        main = list(qh) + list(qg)
+        if main != list(range(h + g)):
+            raise ValueError("walker and node registers must occupy the leading qubits")
+        plan = compile_gates(block, main, classical=qg)
+        if (self.repeat > 1 or tail) and not plan.classical:
+            raise ValueError("a block that repeats or has a tail must end with the node "
+                             "register classical")
+        tail_plan = compile_gates(block[:tail], main, classical=qg) if tail else None
+        return _DensityPlan((2 ** h, 2 ** g), [gate.angle for gate in block if gate.kind == "ry"],
+                            plan, tail_plan)
 
 
 def rotation_angle(omega: float) -> float:
@@ -216,9 +240,7 @@ def _block_circuit(chain, gates_fn, with_qap: bool) -> Circuit:
         gates = gates_fn(lay, qa, qa + 1)
     else:
         gates = gates_fn(lay, qa)
-    c = Circuit(regs, gates)
-    c.validate()
-    return c
+    return Circuit(regs, gates)
 
 
 def build_right(chain: core.LinearChainSpec) -> Circuit:
@@ -305,68 +327,38 @@ def build_walk(chain: core.LinearChainSpec, n: int, ancilla_policy: str = "reuse
         structure = (step + resets, n - 1, len(step)) if n >= 2 else (step,)
     else:
         raise ValueError(f"unknown ancilla policy {ancilla_policy!r}")
-    c = Circuit({"qH": lay.qh, "qG": lay.qg, "qA": qa_reg, "qAp": qap_reg}, *structure)
-    c.validate()
-    return c
+    return Circuit({"qH": lay.qh, "qG": lay.qg, "qA": qa_reg, "qAp": qap_reg}, *structure)
 
 
 # --- simulation ------------------------------------------------------------
 
 class _DensityPlan(NamedTuple):
-    """The compiled ``simulate_density`` plans and what they were compiled
-    from: ``plan`` runs the block, ``tail_plan`` (None without a tail) its
-    first ``tail`` gates."""
+    """A circuit's compiled ``simulate_density`` plans (``Circuit._plan``):
+    ``plan`` runs the block, ``tail_plan`` (None without a tail) its first
+    ``tail`` gates."""
 
-    source: tuple                  # a copy of (block, repeat, tail, registers)
     dims: tuple
     ry_angles: list
     plan: Plan
     tail_plan: Plan | None
 
 
-def _density_plan(circuit: Circuit) -> _DensityPlan:
-    """The circuit's compiled plans, made on first use and again whenever
-    its block (by gate identity), repeat count, tail or registers have
-    changed. The block and the tail are compiled once each, however often
-    the block repeats; a block whose output feeds another run must give the
-    node register back classical."""
-    block, repeat, tail = circuit._structure()
-    cached = circuit._plan
-    if cached is not None and cached.source == (block, repeat, tail, circuit.registers):
-        return cached
-    circuit.validate()
-    qh, qg = circuit.registers["qH"], circuit.registers["qG"]
-    h, g = len(qh), len(qg)
-    main = list(qh) + list(qg)
-    if main != list(range(h + g)):
-        raise ValueError("walker and node registers must occupy the leading qubits")
-    plan = compile_gates(block, main, classical=qg)
-    if (repeat > 1 or tail) and not plan.classical:
-        raise ValueError("a block that repeats or has a tail must end with the node "
-                         "register classical")
-    tail_plan = compile_gates(block[:tail], main, classical=qg) if tail else None
-    cached = _DensityPlan((list(block), repeat, tail, dict(circuit.registers)), (2 ** h, 2 ** g),
-                          [gate.angle for gate in block if gate.kind == "ry"], plan, tail_plan)
-    circuit._plan = cached
-    return cached
-
-
 def simulate_density(circuit: Circuit, initial: core.DiagonalState,
                      omega: float | None = None) -> core.DiagonalState:
     """Run the circuit on a diagonal walker-node state, tracing all ancillas.
 
-    The circuit is validated, and its block and tail are compiled once each
-    (``compile_gates``) and kept on the circuit until its structure or
-    registers change; the block plan runs ``repeat`` times, then the tail
-    plan once. The node register is classical, so the state is its padded
-    (2^g, 2^h, 2^h) block stack; a state with more nodes or walker levels
-    than that raises ``ValueError``. When ``omega`` is given, the RY
-    preparation angles are checked against it. A one-block circuit that
-    leaves a node qubit in superposition ends on the dense matrix, which
-    must come back diagonal (``DiagonalState.from_dense``); either way no
-    mass may be left in padded levels (``DiagonalState.from_padded``).
+    The circuit's block and tail are compiled once each (``compile_gates``)
+    on its first run and kept with it (``Circuit._plan``); the block plan
+    runs ``repeat`` times, then the tail plan once. The node register is
+    classical, so the state is its padded (2^g, 2^h, 2^h) block stack; a
+    state with more nodes or walker levels than that raises ``ValueError``.
+    When ``omega`` is given, the RY preparation angles are checked against
+    it. A one-block circuit that leaves a node qubit in superposition ends
+    on the dense matrix, which must come back diagonal
+    (``DiagonalState.from_dense``); either way no mass may be left in
+    padded levels (``DiagonalState.from_padded``).
     """
-    compiled = _density_plan(circuit)
+    compiled = circuit._plan
     if omega is not None:
         want = rotation_angle(omega)
         for angle in compiled.ry_angles:
@@ -378,8 +370,7 @@ def simulate_density(circuit: Circuit, initial: core.DiagonalState,
                          f"(2^g, 2^h) = ({dn}, {dw})")
     out = np.zeros((dn, dw, dw), dtype=complex)
     out[:n, :d, :d] = initial.blocks
-    _, repeat, tail, _ = compiled.source
-    runs = [compiled.plan] * repeat + [compiled.tail_plan] * bool(tail)
+    runs = [compiled.plan] * circuit.repeat + [compiled.tail_plan] * bool(circuit.tail)
     for plan in runs:
         out = plan.run(out)
     trace = initial.total_trace()
@@ -451,7 +442,7 @@ def cost_estimate(circuit: Circuit, model: str = "linear-ancilla",
         c = len(gate.controls)
         return (f(c) if c else 0.0) + _base_cnot_cost(len(gate.targets))
 
-    block, k, shared = circuit._structure()
+    block, k, shared = circuit.block, circuit.repeat, circuit.tail
     prices = np.array([gate_cnots(gate) for gate in block], dtype=float)
     if k == 1:
         rows = defaultdict(lambda: [0])
@@ -505,9 +496,8 @@ def _joined(circuit: Circuit, render, sep: str) -> str:
             memo[gate] = render(gate)
         return memo[gate]
 
-    block, repeat, tail = circuit._structure()
-    texts = [text(gate) for gate in block]
-    return sep.join([sep.join(texts)] * repeat + texts[:tail])
+    texts = [text(gate) for gate in circuit.block]
+    return sep.join([sep.join(texts)] * circuit.repeat + texts[:circuit.tail])
 
 
 def _json_slots(shape: tuple, indent: str) -> str:

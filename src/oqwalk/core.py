@@ -11,8 +11,10 @@ blocks, so the representation is closed under stepping.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,13 +31,13 @@ class OqwSpec:
     """Walk specification: node count, walker dimension, jump operators.
 
     ``jumps`` maps (source, target) to the jump operator for that edge;
-    absent pairs are zero operators (omitted edges). Stepping compiles the
-    edges at first use and keeps them, so ``jumps`` must not change after.
+    absent pairs are zero operators (omitted edges). It is kept as a
+    read-only copy, and stepping compiles the edges at first use.
     """
 
     n_nodes: int
     walker_dim: int
-    jumps: dict = field(default_factory=dict)
+    jumps: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -51,6 +53,7 @@ class OqwSpec:
                 if not 0 <= node < self.n_nodes:
                     raise ValueError(f"jump ({i},{j}) references a node outside "
                                      f"0..{self.n_nodes - 1}")
+        object.__setattr__(self, "jumps", MappingProxyType(dict(self.jumps)))
 
     def jump(self, i: int, j: int) -> np.ndarray:
         return self.jumps.get((i, j), np.zeros((self.walker_dim,) * 2, dtype=complex))

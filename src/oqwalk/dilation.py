@@ -24,7 +24,7 @@ UNITARY_TOL = 1e-10
 MAX_DENSE_DIM = 2048
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DilationUnitary:
     """A dense dilation: the unitary matrix, its tensor-factor layout, and kind.
 

@@ -141,14 +141,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitaries(1, dim, rng)[0]
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random density matrix: normalized G G† for complex Gaussian G."""
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random pure-state vector, uniform on the sphere."""
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)

@@ -38,12 +38,23 @@ The per-block loops of ``core.DiagonalState``, which once held a dict from
 node to block and now holds one (N, d, d) array: its traces, dense matrix
 and PSD check taken one block at a time. They do the same arithmetic per
 block, so the array forms agree with them bit for bit.
+
+And ``random_density``, the random density matrix the tests draw, which the
+package does not need.
 """
 
 import numpy as np
 
 from oqwalk import analysis, channels, circuit, compiled, core
 from oqwalk.matrixkit import asmatrix, trace_distance
+
+
+def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """Random density matrix: normalized G G† for complex Gaussian G."""
+    rank = dim if rank is None else rank
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 def transition_matrix(p) -> np.ndarray:

@@ -30,11 +30,10 @@ from oqwalk.matrixkit import (
     Z,
     haar_unitary,
     projector,
-    random_density,
     random_pure_state,
     trace_distance,
 )
-from oracles import circuit_matrix, power_iterate, transition_matrix
+from oracles import circuit_matrix, power_iterate, random_density, transition_matrix
 
 
 def report(number, name, ok, detail):
@@ -286,3 +285,45 @@ def test_criterion_13_route_agreement_at_size():
     report(13, "route agreement at size", worst_dil <= 1e-10 and worst_circ <= 1e-10,
            f"N in (5,8,16,64) x d in (2,3) and N=128 x d=2, n=3, max distance "
            f"dilation={worst_dil:.3e}, circuit={worst_circ:.3e}")
+
+
+def channel_realizations():
+    """Dephasing and depolarizing over p or lambda x omega, and random-unitary
+    embeddings of 1-6 pairs at d = 2 and 3: 33 realizations. d = 3 runs the
+    circuit on padded walker sectors, and 3, 5 or 6 nodes on a padded node
+    register."""
+    rng = np.random.default_rng(40)
+    for omega in (0.3, 0.5, 0.8):
+        for p in (0.0, 0.3, 0.7, 1.0):
+            yield channels.dephasing_realization(p, random_density(2, rng), omega)
+        for lam in (0.1, 0.4, 1.0):
+            yield channels.depolarizing_realization(lam, random_density(2, rng), omega)
+    for d in (2, 3):
+        for m in range(1, 7):
+            pairs = [(q, haar_unitary(d, rng)) for q in rng.dirichlet(np.ones(m))]
+            yield channels.embed_random_unitary(pairs, random_density(d, rng))
+
+
+def test_criterion_14_channels_through_every_route():
+    # each route's state equals core.evolve's at every step, and at the step
+    # iterate_limit stops at, each post-selects to the channel's output
+    routes, limits = [], []
+    for real in channel_realizations():
+        _, steps = channels.iterate_limit(real)
+        omega = real.chain.omega
+        step_circ = circuit.build_walk(real.chain, 1)
+        dil = dilation.build_u_loc(real.chain)
+        direct = via_circ = via_dil = real.initial
+        for _ in range(steps):
+            direct = core.evolve(real.spec, direct, 1)
+            via_circ = circuit.simulate_density(step_circ, via_circ, omega)
+            via_dil = dilation.step_via_dilation(dil, via_dil, omega)
+            routes += [np.abs(via.blocks - direct.blocks).max() for via in (via_circ, via_dil)]
+        limits += [trace_distance(channels.postselect(state, real.target_node),
+                                  real.analytic_limit) for state in (direct, via_circ, via_dil)]
+    # np.max, unlike a running max(), keeps a NaN
+    worst_route, worst_limit = np.max(routes), np.max(limits)
+    report(14, "channels via every route", worst_route <= 1e-12 and worst_limit <= 1e-10,
+           f"{len(limits) // 3} realizations, circuit and dilation against core.evolve: "
+           f"max step difference={worst_route:.1e} (<=1e-12), "
+           f"limit distance={worst_limit:.1e} (<=1e-10)")

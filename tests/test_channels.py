@@ -12,11 +12,10 @@ from oqwalk.matrixkit import (
     Z,
     haar_unitary,
     projector,
-    random_density,
     random_pure_state,
     trace_distance,
 )
-from oracles import transition_matrix
+from oracles import random_density, transition_matrix
 
 PLUS = projector(np.array([1, 1]) / np.sqrt(2))
 MINUS = projector(np.array([1, -1]) / np.sqrt(2))

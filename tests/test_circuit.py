@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -15,11 +16,11 @@ from oqwalk.matrixkit import (
     haar_unitary,
     is_unitary,
     projector,
-    random_density,
     random_pure_state,
     trace_distance,
 )
 import oracles
+from oracles import random_density
 
 
 def random_chain(n, omega, rng, dim=2):
@@ -425,21 +426,23 @@ def test_plan_is_kept_and_remade_when_the_gate_list_changes():
     plan = walk._plan
     circuit.simulate_density(walk, state, chain.omega)
     assert walk._plan is plan
-    # the same block list object, grown in place into a two-step walk's
-    # block (step and resets), then repeated once with the step as its tail
+    # a circuit never changes, so a changed gate list is a new circuit with
+    # its own plan: a two-step walk (a block of step and resets, repeated
+    # once with the step as its tail), then that walk with one U gate
+    # replaced by one for another walker unitary
     steps = circuit.build_walk(chain, 2)
-    walk.block.extend(steps.block[len(walk.block):])
-    walk.repeat, walk.tail = steps.repeat, steps.tail
-    two = circuit.simulate_density(walk, state, chain.omega)
+    two = circuit.simulate_density(steps, state, chain.omega)
     want = oracles.simulate_density(steps, state, chain.omega)
-    # one U gate replaced in place by one for another walker unitary
-    pos = next(i for i, g in enumerate(walk.block) if g.kind == "u")
-    old = walk.block[pos]
-    walk.block[pos] = Gate("u", old.targets, old.controls, matrix=haar_unitary(2, rng))
-    changed = circuit.simulate_density(walk, state, chain.omega)
+    block = list(steps.block)
+    pos = next(i for i, g in enumerate(block) if g.kind == "u")
+    old = block[pos]
+    block[pos] = Gate("u", old.targets, old.controls, matrix=haar_unitary(2, rng))
+    other = Circuit(steps.registers, block, steps.repeat, steps.tail)
+    changed = circuit.simulate_density(other, state, chain.omega)
+    assert walk._plan is plan and other._plan is not steps._plan
     assert all(np.array_equal(two.block(i), want.block(i)) for i in range(5))
     assert not all(np.array_equal(one.block(i), two.block(i)) for i in range(5))
-    recheck = oracles.simulate_density(walk, state)
+    recheck = oracles.simulate_density(other, state)
     assert all(np.array_equal(changed.block(i), recheck.block(i)) for i in range(5))
     assert not all(np.array_equal(changed.block(i), two.block(i)) for i in range(5))
 
@@ -581,7 +584,7 @@ def test_a_block_applied_only_as_its_tail():
     chain = random_chain(5, 0.7, rng, dim=3)
     walk = circuit.build_walk(chain, 3)
     step = Circuit(walk.registers, walk.block, 0, walk.tail)
-    assert step.gates == walk.block[:walk.tail]
+    assert step.gates == list(walk.block[:walk.tail])
     state = random_diagonal_state(5, 3, rng)
     got = circuit.simulate_density(step, state, chain.omega)
     want = oracles.simulate_density(step, state, chain.omega)
@@ -589,7 +592,7 @@ def test_a_block_applied_only_as_its_tail():
     assert_cost_and_exports_match_reference(step)
     # a gate after the tail is not applied, so it is not checked
     bad = Gate("x", (9,))
-    Circuit(walk.registers, walk.block + [bad], 0, walk.tail).validate()
+    Circuit(walk.registers, walk.block + (bad,), 0, walk.tail).validate()
     assert_cost_and_exports_match_reference(Circuit({"q": (0, 1, 2, 3)}, [bad], 0, 0))
 
 
@@ -1144,6 +1147,12 @@ def _break_structure(walk, field, value):
     setattr(walk, field, {"len": size, "len+1": size + 1}.get(value, value))
 
 
+def _same_reading(a, b):
+    if isinstance(a, core.DiagonalState):
+        return np.array_equal(a.blocks, b.blocks)
+    return a == b
+
+
 @pytest.mark.parametrize("field, value", BAD_STRUCTURES)
 @pytest.mark.parametrize("reader", [
     lambda w: w.gates,
@@ -1154,27 +1163,49 @@ def _break_structure(walk, field, value):
     lambda w: circuit.simulate_density(w, core.DiagonalState.pure(np.array([1, 0]), 0, 4)),
 ], ids=["gates", "validate", "cost", "json", "qasm", "simulate"])
 def test_structure_changed_after_construction_is_checked(reader, field, value):
+    # a structure that breaks the repeat/tail rule cannot be set after
+    # construction (a repeat of -1 made cost_estimate loop forever), and every
+    # reader reads the circuit as it was built
     walk = circuit.build_walk(random_chain(4, 0.7, np.random.default_rng(44)), 3)
-    reader(walk)   # a plan compiled before the change must not hide it
-    _break_structure(walk, field, value)
-    with pytest.raises(ValueError, match="need repeat >= 0 and 0 <= tail <"):
-        reader(walk)
+    built, before = (walk.block, walk.repeat, walk.tail), reader(walk)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        _break_structure(walk, field, value)
+    assert (walk.block, walk.repeat, walk.tail) == built
+    assert _same_reading(reader(walk), before)
 
 
 def test_repeat_set_to_zero_after_construction_reads_as_at_construction():
+    # a repeat of 0 set after construction made simulate_density raise
+    # IndexError; it is refused, and the walk reads as a fresh build, while
+    # a repeat of 0 given to the constructor keeps only the tail
     chain = random_chain(4, 0.7, np.random.default_rng(45))
     start = core.DiagonalState.pure(np.array([1, 0]), 0, 4)
     for tail in (0, 5):
         walk = circuit.build_walk(chain, 3)
         circuit.simulate_density(walk, start)
-        walk.repeat, walk.tail = 0, tail
-        built = Circuit(walk.registers, walk.block, 0, tail)
-        assert walk.gates == built.gates == walk.block[:tail]
-        assert circuit.cost_estimate(walk) == circuit.cost_estimate(built)
-        assert circuit.circuit_to_json(walk) == circuit.circuit_to_json(built)
-        assert circuit.circuit_to_qasm(walk) == circuit.circuit_to_qasm(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            walk.repeat, walk.tail = 0, tail
+        fresh = circuit.build_walk(chain, 3)
+        assert (walk.repeat, walk.tail) == (fresh.repeat, fresh.tail)
+        assert circuit.cost_estimate(walk) == circuit.cost_estimate(fresh)
+        assert circuit.circuit_to_json(walk) == circuit.circuit_to_json(fresh)
+        assert circuit.circuit_to_qasm(walk) == circuit.circuit_to_qasm(fresh)
         got = circuit.simulate_density(walk, start)
-        assert np.array_equal(got.blocks, circuit.simulate_density(built, start).blocks)
+        assert np.array_equal(got.blocks, circuit.simulate_density(fresh, start).blocks)
+        built = Circuit(walk.registers, walk.block, 0, tail)
+        assert built.gates == list(walk.block[:tail])
+
+
+def test_a_built_circuit_is_frozen():
+    walk = circuit.build_walk(random_chain(4, 0.7, np.random.default_rng(44)), 3)
+    assert type(walk.block) is tuple
+    # a repeat of -1 set after construction made cost_estimate loop forever
+    for name, value in [("block", []), ("repeat", -1), ("tail", 0), ("registers", {})]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(walk, name, value)
+    with pytest.raises(TypeError):
+        walk.registers["qA"] = (9,)
+    assert walk.repeat == 2 and walk.registers["qA"] == (3,)
 
 
 def json_template_gates():

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import operator
 import tracemalloc
 
 import numpy as np
@@ -6,9 +8,8 @@ import pytest
 
 from oqwalk import channels, core, dilation
 from oqwalk.analysis import ChainParams
-from oqwalk.matrixkit import (X, haar_unitaries, haar_unitary, projector, random_density,
-                              random_pure_state)
-from oracles import power_iterate, transition_matrix
+from oqwalk.matrixkit import X, haar_unitaries, haar_unitary, projector, random_pure_state
+from oracles import power_iterate, random_density, transition_matrix
 
 
 def random_chain(n, omega, rng, dim=2):
@@ -337,6 +338,21 @@ def test_array_holding_values_compare_and_hash_by_identity(make):
     assert a == a and not a == twin and a != twin
     assert twin not in [a] and a in [twin, a]
     assert len({a, twin, a}) == 2
+
+
+@pytest.mark.parametrize("make, change, error", [
+    # a jump changed after a first evolve failed core.validate while evolve
+    # kept stepping the edges it had compiled
+    (lambda: core.chain_to_spec(core.LinearChainSpec(3, 0.7, [X, X])),
+     lambda spec: operator.setitem(spec.jumps, (0, 1), 5 * X), TypeError),
+    (lambda: dilation.sznagy_unitary(np.eye(2) / 2),
+     lambda dil: setattr(dil, "matrix", np.zeros((4, 4))), dataclasses.FrozenInstanceError),
+    (lambda: channels.dephasing_realization(0.3, np.eye(2) / 2),
+     lambda real: setattr(real, "target_node", 0), dataclasses.FrozenInstanceError),
+], ids=["OqwSpec", "DilationUnitary", "ChannelRealization"])
+def test_checked_values_cannot_change_after_construction(make, change, error):
+    with pytest.raises(error):
+        change(make())
 
 
 def test_to_dense_rejects_registers_too_small():

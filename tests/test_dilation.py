@@ -12,12 +12,11 @@ from oqwalk.matrixkit import (
     haar_unitary,
     is_unitary,
     projector,
-    random_density,
     random_pure_state,
     trace_distance,
 )
 import oracles
-from oracles import partial_trace
+from oracles import partial_trace, random_density
 
 
 def random_chain(n, omega, rng, dim=2):

@@ -12,13 +12,12 @@ from oqwalk.matrixkit import (
     is_unitary,
     projector,
     psd_sqrt,
-    random_density,
     random_pure_state,
     trace_distance,
     unitary_deviation,
 )
 import oracles
-from oracles import partial_trace
+from oracles import partial_trace, random_density
 
 
 def test_is_unitary():

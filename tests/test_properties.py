@@ -33,12 +33,11 @@ from oqwalk.channels import (
 from oqwalk.matrixkit import (
     asmatrix,
     haar_unitary,
-    random_density,
     random_pure_state,
     trace_distance,
 )
 import oracles
-from oracles import transition_matrix
+from oracles import random_density, transition_matrix
 
 sizes = st.integers(min_value=2, max_value=40)
 omegas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
